@@ -116,7 +116,20 @@ def _truth_value(args, reference: Optional[AnalyticReference]) -> float:
     return reference.exact_expectation
 
 
-def _plan_from_args(args) -> MlmcPlan:
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer in [0, 2**64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expects an integer, got %r" % text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError("must lie in [0, 2**64), got %d" % value)
+    return value
+
+
+def _plan_from_args(args, n: Optional[int] = None) -> MlmcPlan:
+    """The plan the flags describe, at ``n`` steps when given instead of --n."""
+    n = args.n if n is None else n
     if args.allocator == "bak":
         weights = None
         if args.weights is not None:
@@ -124,10 +137,14 @@ def _plan_from_args(args) -> MlmcPlan:
                 weights = [float(w) for w in args.weights.split(",") if w.strip()]
             except ValueError:
                 raise UsageError("--weights expects a comma-separated list of reals")
-        return plan_bak(
-            args.n, args.m, args.alpha, horizon=args.T, weights=weights, beta0=args.beta0
-        )
-    return plan_giles(args.n, args.m, args.alpha, horizon=args.T, c2=args.c2)
+        return plan_bak(n, args.m, args.alpha, horizon=args.T, weights=weights, beta0=args.beta0)
+    return plan_giles(n, args.m, args.alpha, horizon=args.T, c2=args.c2)
+
+
+def _reject_weights_with_n_list(args) -> None:
+    # one weight per level cannot fit every n, because L = log_m(n) varies
+    if args.weights is not None:
+        raise UsageError("--weights cannot be combined with --n-list: the level count varies with n")
 
 
 def _plan_dict(plan: MlmcPlan) -> dict:
@@ -353,12 +370,10 @@ def _verify_berry_esseen(args) -> Tuple[dict, str]:
     model, payoff, _ = _model_payoff(args)
     if args.n_list is None:
         raise UsageError("berry-esseen needs --n-list")
+    _reject_weights_with_n_list(args)
     rows = []
     for idx, n in enumerate(_parse_int_list(args.n_list, "--n-list")):
-        if args.allocator == "bak":
-            plan = plan_bak(n, args.m, args.alpha, horizon=args.T, beta0=args.beta0)
-        else:
-            plan = plan_giles(n, args.m, args.alpha, horizon=args.T, c2=args.c2)
+        plan = _plan_from_args(args, n)
         report = estimate(
             model,
             payoff,
@@ -452,6 +467,7 @@ def _cmd_benchmark(args) -> int:
         if method not in ("crude-mc", "mlmc"):
             raise UsageError("unknown method %r (choose from crude-mc, mlmc)" % method)
     n_list = _parse_int_list(args.n_list, "--n-list")
+    _reject_weights_with_n_list(args)
     threads = _threads(args)
     reps = args.replications
     rows = []
@@ -460,10 +476,7 @@ def _cmd_benchmark(args) -> int:
             target_rmse = n**-args.alpha
             estimates = np.empty(reps)
             if method == "mlmc":
-                if args.allocator == "bak":
-                    plan = plan_bak(n, args.m, args.alpha, horizon=args.T, beta0=args.beta0)
-                else:
-                    plan = plan_giles(n, args.m, args.alpha, horizon=args.T, c2=args.c2)
+                plan = _plan_from_args(args, n)
                 cost_units = complexity(plan)
                 start = time.perf_counter()
                 for rep in range(reps):
@@ -544,7 +557,9 @@ def _add_plan_flags(parser, include_n: bool = True) -> None:
 
 def _add_common_flags(parser) -> None:
     parser.add_argument("--T", type=float, default=1.0, help="time horizon (default 1)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument(
+        "--seed", type=_seed, default=0, help="master seed in [0, 2**64) (default 0)"
+    )
     parser.add_argument(
         "--replication", type=int, default=0, help="replication index for stream derivation"
     )

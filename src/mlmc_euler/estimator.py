@@ -27,8 +27,12 @@ import numpy as np
 from .models import Payoff, SdeModel
 from .paths import (
     DOMAIN_PILOT,
+    DOMAIN_SINGLE,
     EulerDivergedError,
-    coupled_terminals,
+    _coupled_tasks,
+    _run_tasks,
+    _single_tasks,
+    coupled_terminals,  # unused here, but perfbench/spans.py rebinds this name
     single_terminals,
 )
 
@@ -325,7 +329,9 @@ def _level_statistics(values: np.ndarray, level: int, cost_per_path: int) -> Lev
     count = values.shape[0]
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))
-    third = float(np.mean(np.abs(values - mean) ** 3))
+    # computed in place: at level 0 each temporary is as large as the level
+    centered = np.abs(values - mean)
+    third = float(np.mean(np.power(centered, 3, out=centered)))
     return LevelStats(
         level=level,
         count=count,
@@ -351,41 +357,49 @@ def estimate(
 
     Each level (and the Richardson bias pilot) owns a disjoint key
     range derived from (master_seed, replication), so results are
-    independent of thread count and identical across reruns.  Setting
-    ``bias_pilot`` to 0 skips the pilot and reports bias_proxy = None.
+    independent of thread count and identical across reruns.  The chunks
+    of all L + 1 levels run on one pool of ``threads`` workers; each
+    level is reduced on the calling thread, in level order, as soon as
+    its chunks are done.  Setting ``bias_pilot`` to 0 skips the pilot
+    and reports bias_proxy = None.
     """
     if not math.isclose(plan.horizon, model.horizon, rel_tol=1e-12):
         raise ValueError("plan horizon does not match the model horizon")
     from .diagnostics import confidence_interval  # deferred: diagnostics imports this module
 
-    stats = []
-    crude = single_terminals(
-        model,
-        1,
-        plan.sample_sizes[0],
-        master_seed,
-        slot=0,
-        replication=replication,
-        threads=threads,
-    )
-    stats.append(_level_statistics(payoff.value(crude), 0, 1))
-    for lvl in range(1, plan.levels + 1):
-        try:
-            fine, coarse = coupled_terminals(
-                model,
-                lvl,
-                plan.m,
-                plan.sample_sizes[lvl],
-                master_seed,
-                replication=replication,
-                threads=threads,
+    outputs = []
+    tasks = []
+    for lvl in range(plan.levels + 1):
+        if lvl == 0:
+            out, level_tasks = _single_tasks(
+                model, 1, plan.sample_sizes[0], master_seed,
+                slot=0, replication=replication, first_path=0, domain=DOMAIN_SINGLE,
             )
-        except EulerDivergedError as exc:
-            raise EulerDivergedError(exc.step_index, exc.path_index, level=lvl) from None
-        diffs = payoff.value(fine) - payoff.value(coarse)
-        stats.append(
-            _level_statistics(diffs, lvl, plan.m**lvl + plan.m ** (lvl - 1))
-        )
+        else:
+            out, level_tasks = _coupled_tasks(
+                model, lvl, plan.m, plan.sample_sizes[lvl], master_seed,
+                replication=replication, first_path=0,
+            )
+        outputs.append(out)
+        tasks.append(level_tasks)
+
+    stats = []
+
+    def reduce(lvl):
+        if lvl == 0:
+            values, cost_per_path = payoff.value(outputs[0]), 1
+        else:
+            fine, coarse = outputs[lvl]
+            values = payoff.value(fine) - payoff.value(coarse)
+            cost_per_path = plan.m**lvl + plan.m ** (lvl - 1)
+        outputs[lvl] = None
+        stats.append(_level_statistics(values, lvl, cost_per_path))
+
+    try:
+        _run_tasks(tasks, threads, reduce)
+    except EulerDivergedError as exc:
+        # levels are awaited in order, so the failing one is the next to reduce
+        raise EulerDivergedError(exc.step_index, exc.path_index, level=len(stats)) from None
 
     point = float(sum(s.mean for s in stats))
     se = math.sqrt(sum(s.variance / s.count for s in stats))

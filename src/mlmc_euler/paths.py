@@ -9,7 +9,18 @@ inverse CDF applied to 53-bit uniforms offset to the midpoint of their
 lattice cell (one uint64 per variate), which keeps the per-path draw
 budget fixed and makes counter jumps exact.  Each path's draw budget is
 padded to a multiple of four because the underlying generator advances
-in four-word blocks.
+in four-word blocks.  Master seeds must lie in [0, 2**64); anything
+else is rejected rather than wrapped onto another seed's stream.
+
+Scheduling contract: a batch is split into chunk tasks whose boundaries
+depend only on the per-path draw budget (``_chunk_size``), never on the
+thread count.  ``_run_tasks`` is the package's one scheduler: it runs
+all the tasks of a call on one thread pool, submitted in (group, chunk)
+order, and hands each group back to the calling thread, in group order,
+as soon as its chunks are done.  Every chunk writes its own slice of a
+preallocated output, so the result is bit-identical for any thread
+count.  ``estimate`` uses one group per level, so it reduces each level
+while the pool simulates the next ones.
 
 Only terminal values are retained by default; ``euler_terminal`` can
 return the full grid path on request.
@@ -20,7 +31,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -106,8 +118,12 @@ class CoupledTerminal:
 
 
 def _philox(master_seed: int, domain: int, slot: int, replication: int) -> np.random.Philox:
+    # Every stream passes through here; masking a seed instead of rejecting
+    # it would give -1 and 2**64 - 1 the same stream.
+    if not 0 <= master_seed <= _U64:
+        raise ValueError("master_seed must lie in [0, 2**64)")
     seq = np.random.SeedSequence(
-        entropy=int(master_seed) & _U64,
+        entropy=int(master_seed),
         spawn_key=(domain, slot, replication),
     )
     return np.random.Philox(seq)
@@ -235,35 +251,75 @@ def _chunk_size(draws_per_path: int) -> int:
     return max(64, min(1 << 16, (1 << 22) // max(draws_per_path, 1)))
 
 
-def _run_chunked(n_paths: int, threads: int, chunk: int, work) -> None:
-    """Apply ``work(a, b)`` over [0, n_paths) in fixed chunks.
+Task = Callable[[], None]
 
-    Chunk boundaries are identical for every thread count; each chunk
-    writes to its own output slice, so the result is independent of
-    scheduling.
+
+def _chunk_tasks(n_paths: int, chunk: int, work) -> List[Task]:
+    """``work(a, b)`` over [0, n_paths) as one task per fixed chunk."""
+    return [partial(work, a, min(a + chunk, n_paths)) for a in range(0, n_paths, chunk)]
+
+
+def _run_tasks(
+    groups: List[Optional[Sequence[Task]]],
+    threads: int,
+    done: Optional[Callable[[int], None]] = None,
+) -> None:
+    """Run every task of ``groups`` on one pool; call ``done(i)`` per group.
+
+    Tasks are submitted in (group, task) order to a single pool of
+    ``threads`` workers (run inline when ``threads`` is 1 or there is at
+    most one task).  The calling thread waits for the groups in order and
+    calls ``done(i)`` as soon as group i has finished, while later groups
+    keep running.  ``groups[i]`` is then set to None, which releases the
+    outputs its tasks write to unless the caller still holds them.
+
+    The first failing task in (group, task) order raises, whatever the
+    thread count; the pool is shut down, with its pending tasks
+    cancelled, before the exception propagates.
     """
-    spans = [(a, min(a + chunk, n_paths)) for a in range(0, n_paths, chunk)]
-    if threads <= 1 or len(spans) <= 1:
-        for a, b in spans:
-            work(a, b)
+    def finish(i):
+        groups[i] = None
+        if done is not None:
+            done(i)
+
+    if threads <= 1 or sum(len(group) for group in groups) <= 1:
+        for i in range(len(groups)):
+            for task in groups[i]:
+                task()
+            finish(i)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for f in [pool.submit(work, a, b) for a, b in spans]:
-            f.result()
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        futures = [[pool.submit(task) for task in group] for group in groups]
+        for i, group_futures in enumerate(futures):
+            for future in group_futures:
+                future.result()
+            finish(i)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def single_terminals(
+def _run_chunked(n_paths: int, threads: int, chunk: int, work) -> None:
+    """Apply ``work(a, b)`` over [0, n_paths) in fixed chunks on one pool.
+
+    Chunk boundaries depend only on ``chunk``, never on ``threads``; each
+    chunk writes to its own output slice, so the result is independent of
+    scheduling.  The chunks run through ``_run_tasks`` as a single group.
+    """
+    _run_tasks([_chunk_tasks(n_paths, chunk, work)], threads)
+
+
+def _single_tasks(
     model,
     n_steps: int,
     n_paths: int,
     master_seed: int,
-    slot: int = 0,
-    replication: int = 0,
-    first_path: int = 0,
-    threads: int = 1,
-    domain: int = DOMAIN_SINGLE,
-) -> np.ndarray:
-    """Terminal states of n_paths independent n_steps Euler paths, shape (n, d)."""
+    slot: int,
+    replication: int,
+    first_path: int,
+    domain: int,
+) -> Tuple[np.ndarray, List[Task]]:
+    """Allocate ``single_terminals``' output and return it with its chunk tasks."""
     if n_steps < 1 or n_paths < 0:
         raise ValueError("n_steps must be >= 1 and n_paths >= 0")
     q = model.dim_noise
@@ -278,27 +334,38 @@ def single_terminals(
         dw = math.sqrt(dt) * z.reshape(b - a, n_steps, q)
         out[a:b] = _euler_batch(model, dt, dw, first_path + a)
 
-    _run_chunked(n_paths, threads, _chunk_size(draws), work)
+    return out, _chunk_tasks(n_paths, _chunk_size(draws), work)
+
+
+def single_terminals(
+    model,
+    n_steps: int,
+    n_paths: int,
+    master_seed: int,
+    slot: int = 0,
+    replication: int = 0,
+    first_path: int = 0,
+    threads: int = 1,
+    domain: int = DOMAIN_SINGLE,
+) -> np.ndarray:
+    """Terminal states of n_paths independent n_steps Euler paths, shape (n, d)."""
+    out, tasks = _single_tasks(
+        model, n_steps, n_paths, master_seed, slot, replication, first_path, domain
+    )
+    _run_tasks([tasks], threads)
     return out
 
 
-def coupled_terminals(
+def _coupled_tasks(
     model,
     level: int,
     m: int,
     n_paths: int,
     master_seed: int,
-    replication: int = 0,
-    first_path: int = 0,
-    threads: int = 1,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fine and coarse terminal states driven by the same Brownian paths.
-
-    The fine scheme takes m**level steps; the coarse scheme takes
-    m**(level-1) steps and consumes the exact block sums of the fine
-    increments, which is what makes the pair a coupling rather than two
-    independent runs.  Returns arrays (n, d), (n, d).
-    """
+    replication: int,
+    first_path: int,
+) -> Tuple[Tuple[np.ndarray, np.ndarray], List[Task]]:
+    """Allocate ``coupled_terminals``' outputs and return them with their chunk tasks."""
     if level < 1:
         raise ValueError("level must be >= 1")
     if m < 2:
@@ -321,7 +388,30 @@ def coupled_terminals(
         dw_c = dw.reshape(b - a, nc, m, q).sum(axis=2)
         coarse[a:b] = _euler_batch(model, dtc, dw_c, first_path + a)
 
-    _run_chunked(n_paths, threads, _chunk_size(draws), work)
+    return (fine, coarse), _chunk_tasks(n_paths, _chunk_size(draws), work)
+
+
+def coupled_terminals(
+    model,
+    level: int,
+    m: int,
+    n_paths: int,
+    master_seed: int,
+    replication: int = 0,
+    first_path: int = 0,
+    threads: int = 1,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fine and coarse terminal states driven by the same Brownian paths.
+
+    The fine scheme takes m**level steps; the coarse scheme takes
+    m**(level-1) steps and consumes the exact block sums of the fine
+    increments, which is what makes the pair a coupling rather than two
+    independent runs.  Returns arrays (n, d), (n, d).
+    """
+    (fine, coarse), tasks = _coupled_tasks(
+        model, level, m, n_paths, master_seed, replication, first_path
+    )
+    _run_tasks([tasks], threads)
     return fine, coarse
 
 

@@ -241,6 +241,16 @@ def test_verify_berry_esseen_reports_slope(capsys):
     assert payload["slope_vs_loglog_n"] < 0.0
 
 
+def test_verify_berry_esseen_rejects_weights(capsys):
+    code, out, err = run_cli(
+        capsys,
+        *"verify --experiment berry-esseen --n-list 16,32 --weights 1,1,1,1".split(),
+    )
+    assert code == 2
+    assert out == ""
+    assert "--weights" in err
+
+
 def test_verify_two_level_law_small(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -282,6 +292,15 @@ def test_benchmark_costs_match_library_accounting(capsys):
             assert int(row["cost_units"]) == n**2 * n
 
 
+def test_benchmark_rejects_weights(capsys):
+    code, out, err = run_cli(
+        capsys, *"benchmark --n-list 4,8 --replications 2 --weights 1,1".split()
+    )
+    assert code == 2
+    assert out == ""
+    assert "--weights" in err
+
+
 def test_benchmark_requires_n_list(capsys):
     code, _, _ = run_cli(capsys, "benchmark")
     assert code == 2
@@ -301,6 +320,21 @@ def test_stdout_is_byte_identical_across_threads(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_seed_outside_64_bits_is_usage_error(capsys):
+    argv = "estimate --vol 0.2 --mu 0.05 --n 4 --threads 1 --seed".split()
+    for seed in ("-1", str(2**64)):
+        code, out, err = run_cli(capsys, *argv, seed)
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
+    outputs = []
+    for seed in ("0", str(2**64 - 1)):
+        code, out, _ = run_cli(capsys, *argv, seed)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
 
 
 def test_repeated_run_is_byte_identical(capsys):

@@ -1,6 +1,7 @@
 """Allocation rules, cost accounting, m scan, and the estimator itself."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -200,12 +201,16 @@ def test_estimate_report_structure():
 
 
 def test_estimate_is_deterministic_across_threads():
+    # level 0 spans several chunks and the top levels one chunk each, so the
+    # pool runs chunks of different levels side by side
     model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    plan = me.plan_bak(16, 2, 1.0)
-    a = me.estimate(model, me.identity_payoff(), plan, 0, threads=1, bias_pilot=0)
-    b = me.estimate(model, me.identity_payoff(), plan, 0, threads=8, bias_pilot=0)
-    assert a.estimate == b.estimate
-    assert a.standard_error == b.standard_error
+    plan = me.plan_bak(128, 2, 1.0)
+    reports = [
+        me.estimate(model, me.identity_payoff(), plan, 0, threads=threads).to_json_dict()
+        for threads in (1, 2, 8)
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    assert len(reports[0]["levels"]) == plan.levels + 1
 
 
 def test_estimate_replications_are_independent_streams():
@@ -243,7 +248,14 @@ def test_estimate_divergence_carries_level_context():
         diffusion_jacobians=(lambda x: np.zeros((x.shape[0], 1, 1)),),
     )
     plan = me.plan_bak(4, 2, 1.0)
-    with pytest.raises(EulerDivergedError) as err:
-        me.estimate(model, me.identity_payoff(), plan, 0, bias_pilot=0)
-    assert err.value.level == 1
-    assert "level 1" in str(err.value)
+    errors = []
+    for threads in (1, 8):
+        before = threading.active_count()
+        with pytest.raises(EulerDivergedError) as err:
+            me.estimate(model, me.identity_payoff(), plan, 0, threads=threads, bias_pilot=0)
+        # the pool is shut down before the error propagates
+        assert threading.active_count() == before
+        errors.append((err.value.level, err.value.path_index, err.value.step_index))
+        assert err.value.level == 1
+        assert "level 1" in str(err.value)
+    assert errors[0] == errors[1]

@@ -110,6 +110,22 @@ def test_normal_block_partition_is_bit_identical(n_paths, split, draws):
     np.testing.assert_array_equal(np.vstack([head, tail]), whole)
 
 
+def test_master_seed_outside_64_bits_is_rejected():
+    # a masked seed would alias: -1 onto 2**64 - 1 and 2**64 onto 0
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="master_seed"):
+            me.normal_block(seed, DOMAIN_SINGLE, 0, 0, 0, 4, 2)
+        with pytest.raises(ValueError, match="master_seed"):
+            me.single_terminals(model, 2, 4, seed)
+        with pytest.raises(ValueError, match="master_seed"):
+            me.estimate(model, me.identity_payoff(), me.plan_bak(4, 2, 1.0), seed, bias_pilot=0)
+    low = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 0, 4, 2)
+    high = me.normal_block(2**64 - 1, DOMAIN_SINGLE, 0, 0, 0, 4, 2)
+    assert np.isfinite(low).all() and np.isfinite(high).all()
+    assert not np.array_equal(low, high)
+
+
 def test_normal_block_moments_are_sane():
     z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 0, 2000, 16)
     assert abs(z.mean()) < 0.02
