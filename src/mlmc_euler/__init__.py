@@ -37,12 +37,10 @@ from .estimator import (
 )
 from .limit_law import (
     DegenerateTransportError,
-    LimitDraw,
     LimitSimConfig,
     estimate_limit_variance,
     limit_draws,
     projected_samples,
-    simulate_limit_draw,
     two_level_error_samples,
 )
 from .models import (
@@ -58,15 +56,9 @@ from .models import (
     make_gbm,
 )
 from .paths import (
-    CoupledTerminal,
     EulerDivergedError,
-    RngStreamKey,
     coupled_terminals,
-    eta,
-    euler_terminal,
     normal_block,
-    simulate_coupled,
-    simulate_single,
     single_terminals,
 )
 
@@ -76,18 +68,15 @@ __all__ = [
     "AnalyticReference",
     "BerryEsseenReport",
     "CltExperiment",
-    "CoupledTerminal",
     "CoverageReport",
     "DegenerateStatisticsError",
     "DegenerateTransportError",
     "EstimateReport",
     "EulerDivergedError",
     "LevelStats",
-    "LimitDraw",
     "LimitSimConfig",
     "MlmcPlan",
     "Payoff",
-    "RngStreamKey",
     "SdeModel",
     "asymptotic_cost_constant",
     "berry_esseen",
@@ -103,8 +92,6 @@ __all__ = [
     "coverage_experiment",
     "estimate",
     "estimate_limit_variance",
-    "eta",
-    "euler_terminal",
     "gaussian_quantile",
     "gbm_identity_reference",
     "identity_payoff",
@@ -118,9 +105,6 @@ __all__ = [
     "plan_giles",
     "projected_samples",
     "run_clt_experiment",
-    "simulate_coupled",
-    "simulate_limit_draw",
-    "simulate_single",
     "single_terminals",
     "two_level_error_samples",
     "variance_upper_bound",

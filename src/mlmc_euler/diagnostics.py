@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.special import ndtr
 
 from .estimator import EstimateReport, LevelStats, MlmcPlan, estimate
 from .models import Payoff, SdeModel
@@ -98,11 +99,6 @@ def gaussian_quantile(p: float) -> float:
     return (
         ((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]
     ) * q / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0)
-
-
-def gaussian_cdf(x: float) -> float:
-    """Standard normal CDF via the error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def confidence_interval(
@@ -292,9 +288,7 @@ def run_clt_experiment(
     null_sd = math.sqrt(sigma2) if sigma2 is not None else math.sqrt(variance)
     if null_sd <= 0.0:
         raise ValueError("sigma2 must be positive when supplied")
-    ks = ks_statistic_one_sample(
-        errors, lambda x: np.vectorize(gaussian_cdf)((x - mean) / null_sd)
-    )
+    ks = ks_statistic_one_sample(errors, lambda x: ndtr((x - mean) / null_sd))
     return CltExperiment(
         replications=replications,
         standardized_errors=errors,

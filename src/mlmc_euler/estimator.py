@@ -79,6 +79,20 @@ class MlmcPlan:
                 "increase n or adjust weights"
             )
 
+    def to_json_dict(self) -> dict:
+        return {
+            "allocator": self.allocator,
+            "m": self.m,
+            "n": self.n,
+            "alpha": self.alpha,
+            "levels": self.levels,
+            "horizon": self.horizon,
+            "weights": list(self.weights),
+            "a0": self.a0,
+            "beta0": self.beta0,
+            "sample_sizes": list(self.sample_sizes),
+        }
+
 
 @dataclass(frozen=True)
 class LevelStats:
@@ -127,18 +141,7 @@ class EstimateReport:
             "ci_method": self.ci_method,
             "bias_proxy": self.bias_proxy,
             "total_cost": self.total_cost,
-            "plan": {
-                "allocator": self.plan.allocator,
-                "m": self.plan.m,
-                "n": self.plan.n,
-                "alpha": self.plan.alpha,
-                "levels": self.plan.levels,
-                "horizon": self.plan.horizon,
-                "weights": list(self.plan.weights),
-                "a0": self.plan.a0,
-                "beta0": self.plan.beta0,
-                "sample_sizes": list(self.plan.sample_sizes),
-            },
+            "plan": self.plan.to_json_dict(),
             "levels": [
                 {
                     "level": s.level,

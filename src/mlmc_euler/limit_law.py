@@ -35,18 +35,16 @@ from .models import Payoff, SdeModel
 from .paths import (
     DOMAIN_LIMIT_B,
     DOMAIN_LIMIT_W,
-    RngStreamKey,
     _chunk_size,
-    _run_chunked,
+    _chunk_tasks,
+    _run_tasks,
     coupled_terminals,
     normal_block,
 )
 
 __all__ = [
     "LimitSimConfig",
-    "LimitDraw",
     "DegenerateTransportError",
-    "simulate_limit_draw",
     "limit_draws",
     "estimate_limit_variance",
     "two_level_error_samples",
@@ -79,14 +77,6 @@ class LimitSimConfig:
             raise ValueError("need at least 2 samples")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-
-
-@dataclass(frozen=True)
-class LimitDraw:
-    """One joint draw of the terminal state and the limit value."""
-
-    x_terminal: np.ndarray
-    u_terminal: np.ndarray
 
 
 def _scalar_batch(model, n_steps, dw, db):
@@ -186,27 +176,8 @@ def limit_draws(
         db = math.sqrt(dt) * zb.reshape(b - a, n_steps, q, q)
         x_out[a:b], u_out[a:b] = engine(model, n_steps, dw, db)
 
-    _run_chunked(n_draws, threads, _chunk_size(q * (1 + q) * n_steps), work)
+    _run_tasks([_chunk_tasks(n_draws, _chunk_size(q * (1 + q) * n_steps), work)], threads)
     return x_out, u_out
-
-
-def simulate_limit_draw(
-    model: SdeModel,
-    n_steps: int,
-    key: RngStreamKey,
-    b_replication: Optional[int] = None,
-) -> LimitDraw:
-    """One keyed draw of the terminal pair (X_T, U_T)."""
-    x, u = limit_draws(
-        model,
-        n_steps,
-        1,
-        key.master_seed,
-        replication=key.replication,
-        b_replication=b_replication,
-        first_path=key.path_index,
-    )
-    return LimitDraw(x_terminal=x[0], u_terminal=u[0])
 
 
 def _kink_mask(payoff: Payoff, x: np.ndarray) -> np.ndarray:

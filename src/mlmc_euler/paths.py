@@ -21,16 +21,12 @@ as soon as its chunks are done.  Every chunk writes its own slice of a
 preallocated output, so the result is bit-identical for any thread
 count.  ``estimate`` uses one group per level, so it reduces each level
 while the pool simulates the next ones.
-
-Only terminal values are retained by default; ``euler_terminal`` can
-return the full grid path on request.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -38,13 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
-    "RngStreamKey",
-    "CoupledTerminal",
     "EulerDivergedError",
-    "eta",
-    "euler_terminal",
-    "simulate_single",
-    "simulate_coupled",
     "single_terminals",
     "coupled_terminals",
 ]
@@ -80,41 +70,6 @@ class EulerDivergedError(RuntimeError):
         self.step_index = step_index
         self.path_index = path_index
         self.level = level
-
-
-@dataclass(frozen=True)
-class RngStreamKey:
-    """Address of one simulated path's randomness.
-
-    ``level`` doubles as a stream slot for callers that are not levelled
-    (single-path simulation uses it to keep unrelated runs apart).
-    Distinct keys yield statistically independent streams; an identical
-    key always reproduces the identical increment sequence.
-    """
-
-    master_seed: int
-    level: int = 0
-    path_index: int = 0
-    replication: int = 0
-
-    def __post_init__(self):
-        if self.master_seed < 0 or self.level < 0:
-            raise ValueError("master_seed and level must be >= 0")
-        if self.path_index < 0 or self.replication < 0:
-            raise ValueError("path_index and replication must be >= 0")
-
-
-@dataclass(frozen=True)
-class CoupledTerminal:
-    """Terminal states of one fine/coarse Euler pair on a shared path.
-
-    ``cost`` counts Euler sub-steps: m**level + m**(level-1).
-    """
-
-    fine: np.ndarray
-    coarse: np.ndarray
-    level: int
-    cost: int
 
 
 def _philox(master_seed: int, domain: int, slot: int, replication: int) -> np.random.Philox:
@@ -157,27 +112,9 @@ def normal_block(
     return ndtri(u + _HALF_ULP)
 
 
-def eta(t: float, n_steps: int, horizon: float) -> float:
-    """Last grid point of the n_steps-grid on [0, horizon] at or before t.
-
-    Snaps within a few ulps of a grid point to that point (the grid is
-    conceptually exact even when horizon / n_steps is not representable)
-    and never returns a value above t.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    if not 0.0 <= t <= horizon:
-        raise ValueError("t must lie in [0, horizon]")
-    dt = horizon / n_steps
-    k = int(math.floor(t / dt))
-    if (k + 1) * dt <= t or math.isclose((k + 1) * dt, t, rel_tol=4e-16):
-        k += 1
-    k = min(max(k, 0), n_steps)
-    if k * dt > t and not math.isclose(k * dt, t, rel_tol=4e-16):
-        k -= 1
-    return min(k * dt, t)
+def _euler_step(model, x: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+    """One Euler step x + b(x) dt + s(x) dW for states (n, d) and increments (n, q)."""
+    return x + model.drift(x) * dt + np.einsum("nij,nj->ni", model.diffusion(x), dw)
 
 
 def _euler_batch(
@@ -189,61 +126,23 @@ def _euler_batch(
     """Run the Euler recursion for a batch of paths.
 
     ``dw`` has shape (n, steps, q).  Returns terminal states (n, d).
-    Raises EulerDivergedError (with the first offending step) if any
-    path becomes non-finite.
+    Raises EulerDivergedError if any path ends non-finite; the first
+    such path is then re-run alone to report its first non-finite step.
     """
     n, steps, _ = dw.shape
     x = np.broadcast_to(model.initial, (n, model.dim_state)).copy()
     for k in range(steps):
-        x = (
-            x
-            + model.drift(x) * dt
-            + np.einsum("nij,nj->ni", model.diffusion(x), dw[:, k, :])
-        )
-    if not np.isfinite(x).all():
-        bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-        _locate_divergence(model, dt, dw[bad], first_path + bad)
+        x = _euler_step(model, x, dt, dw[:, k, :])
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        row = int(bad[0])
+        x = model.initial[None, :].copy()
+        for k in range(steps):
+            x = _euler_step(model, x, dt, dw[row : row + 1, k, :])
+            if not np.isfinite(x).all():
+                break
+        raise EulerDivergedError(step_index=k, path_index=first_path + row)
     return x
-
-
-def _locate_divergence(model, dt: float, dw_path: np.ndarray, path_index: int):
-    """Re-walk one diverged path step by step to report where it broke."""
-    x = model.initial.copy()
-    for k in range(dw_path.shape[0]):
-        x = x + model.drift(x) * dt + model.diffusion(x) @ dw_path[k]
-        if not np.isfinite(x).all():
-            raise EulerDivergedError(step_index=k, path_index=path_index)
-    raise EulerDivergedError(step_index=dw_path.shape[0] - 1, path_index=path_index)
-
-
-def euler_terminal(
-    model,
-    n_steps: int,
-    increments: np.ndarray,
-    record_path: bool = False,
-) -> np.ndarray:
-    """Deterministic Euler map from given Brownian increments.
-
-    ``increments`` has shape (n_steps, q).  Returns the terminal state
-    (d,), or the whole grid path (n_steps + 1, d) when ``record_path``.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape != (n_steps, model.dim_noise):
-        raise ValueError(
-            "increments must have shape (%d, %d)" % (n_steps, model.dim_noise)
-        )
-    dt = model.horizon / n_steps
-    x = model.initial.copy()
-    path = [x.copy()] if record_path else None
-    for k in range(n_steps):
-        x = x + model.drift(x) * dt + model.diffusion(x) @ increments[k]
-        if not np.isfinite(x).all():
-            raise EulerDivergedError(step_index=k, path_index=0)
-        if record_path:
-            path.append(x.copy())
-    return np.array(path) if record_path else x
 
 
 def _chunk_size(draws_per_path: int) -> int:
@@ -297,16 +196,6 @@ def _run_tasks(
             finish(i)
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _run_chunked(n_paths: int, threads: int, chunk: int, work) -> None:
-    """Apply ``work(a, b)`` over [0, n_paths) in fixed chunks on one pool.
-
-    Chunk boundaries depend only on ``chunk``, never on ``threads``; each
-    chunk writes to its own output slice, so the result is independent of
-    scheduling.  The chunks run through ``_run_tasks`` as a single group.
-    """
-    _run_tasks([_chunk_tasks(n_paths, chunk, work)], threads)
 
 
 def _single_tasks(
@@ -413,38 +302,3 @@ def coupled_terminals(
     )
     _run_tasks([tasks], threads)
     return fine, coarse
-
-
-def simulate_single(model, n_steps: int, key: RngStreamKey) -> Tuple[np.ndarray, int]:
-    """One keyed Euler path; returns (terminal state (d,), cost in sub-steps)."""
-    term = single_terminals(
-        model,
-        n_steps,
-        1,
-        key.master_seed,
-        slot=key.level,
-        replication=key.replication,
-        first_path=key.path_index,
-    )
-    return term[0], n_steps
-
-
-def simulate_coupled(model, level: int, m: int, key: RngStreamKey) -> CoupledTerminal:
-    """One keyed coupled fine/coarse pair at the given level."""
-    if key.level != level:
-        raise ValueError("key.level must match the requested level")
-    fine, coarse = coupled_terminals(
-        model,
-        level,
-        m,
-        1,
-        key.master_seed,
-        replication=key.replication,
-        first_path=key.path_index,
-    )
-    return CoupledTerminal(
-        fine=fine[0],
-        coarse=coarse[0],
-        level=level,
-        cost=m**level + m ** (level - 1),
-    )

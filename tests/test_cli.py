@@ -125,12 +125,15 @@ def test_estimate_real_divergence_exits_3(capsys):
 
 def test_truth_flag_required_when_no_closed_form(capsys):
     # exp(mu T) overflows, so no analytic reference exists for the truth
-    code, _, err = run_cli(
-        capsys, "verify", "--experiment", "clt", "--mu", "1e308",
-        "--n", "16", "--replications", "5",
-    )
-    assert code == 2
-    assert "--truth" in err
+    for command in (
+        ("verify", "--experiment", "clt", "--n", "16", "--replications", "5"),
+        ("verify", "--experiment", "coverage", "--n", "16", "--replications", "5"),
+        ("benchmark", "--n-list", "4", "--replications", "2"),
+    ):
+        code, out, err = run_cli(capsys, *command, "--mu", "1e308")
+        assert code == 2, command
+        assert out == ""
+        assert "--truth" in err
 
 
 def test_estimate_out_file_gets_the_payload(capsys, tmp_path):

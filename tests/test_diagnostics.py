@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlmc_euler as me
-from mlmc_euler.diagnostics import gaussian_cdf
 
 Z_95 = 1.6448536269514722  # standard normal 0.95 quantile
 
@@ -62,12 +61,6 @@ def test_gaussian_quantile_rejects_boundary():
     for p in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             me.gaussian_quantile(p)
-
-
-def test_gaussian_cdf_against_reference():
-    x = np.linspace(-8.0, 8.0, 641)
-    mine = np.array([gaussian_cdf(float(v)) for v in x])
-    np.testing.assert_allclose(mine, scipy.stats.norm.cdf(x), atol=1e-13)
 
 
 # ---------------------------------------------------------- intervals

@@ -110,14 +110,13 @@ def test_limit_moments_match_closed_form():
     assert abs(y.var(ddof=1) - sigma2) < 4.0 * se_var
 
 
-def test_simulate_limit_draw_matches_batch_row():
+def test_limit_draws_rows_match_single_path_calls():
     model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
     x, u = me.limit_draws(model, 16, 5, 9, replication=1)
     for p in range(5):
-        key = me.RngStreamKey(master_seed=9, level=16, path_index=p, replication=1)
-        draw = me.simulate_limit_draw(model, 16, key)
-        np.testing.assert_array_equal(draw.x_terminal, x[p])
-        np.testing.assert_array_equal(draw.u_terminal, u[p])
+        xp, up = me.limit_draws(model, 16, 1, 9, replication=1, first_path=p)
+        np.testing.assert_array_equal(xp[0], x[p])
+        np.testing.assert_array_equal(up[0], u[p])
 
 
 def test_estimate_limit_variance_zero_diffusion_is_zero():

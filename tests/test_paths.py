@@ -1,4 +1,4 @@
-"""Path engine: grid projection, keyed streams, Euler maps, couplings."""
+"""Path engine: keyed streams, the Euler kernel, couplings."""
 
 import math
 
@@ -12,6 +12,7 @@ from mlmc_euler.paths import (
     DOMAIN_COUPLED,
     DOMAIN_SINGLE,
     EulerDivergedError,
+    _euler_batch,
 )
 
 
@@ -36,47 +37,25 @@ def explosive_model():
     )
 
 
-# ---------------------------------------------------------------- eta
+def threshold_model(level):
+    """dX = b(X) dt + dW from 0, with b = +inf above ``level``.
 
+    The Euler path equals W on the grid until it first exceeds ``level``.
+    """
 
-def test_eta_hand_values():
-    assert me.eta(0.3, 4, 1.0) == 0.25
-    assert me.eta(0.25, 4, 1.0) == 0.25
-    assert me.eta(0.0, 4, 1.0) == 0.0
-    assert me.eta(1.0, 4, 1.0) == 1.0
+    def drift(x):
+        return np.where(x > level, np.inf, 0.0)
 
-
-def test_eta_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        me.eta(-0.1, 4, 1.0)
-    with pytest.raises(ValueError):
-        me.eta(1.1, 4, 1.0)
-    with pytest.raises(ValueError):
-        me.eta(0.5, 0, 1.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    t=st.floats(0.0, 1.0, allow_nan=False),
-    n=st.integers(1, 1000),
-    horizon=st.sampled_from([1.0, 0.7, 3.0]),
-)
-def test_eta_bounds_and_idempotence(t, n, horizon):
-    t = t * horizon
-    s = me.eta(t, n, horizon)
-    assert 0.0 <= s <= t
-    assert t - s < horizon / n * (1.0 + 1e-12)
-    assert me.eta(s, n, horizon) == s
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 64), k=st.integers(0, 64), m=st.integers(2, 5))
-def test_eta_grid_points_are_fixed_and_refinement_monotone(n, k, m):
-    k = min(k, n)
-    t = k * (1.0 / n)
-    assert me.eta(t, n, 1.0) == pytest.approx(t, rel=4e-16, abs=0.0)
-    # a finer grid never projects below a coarser one (up to grid ulps)
-    assert me.eta(t, m * n, 1.0) >= me.eta(t, n, 1.0) - 1e-12
+    return me.SdeModel(
+        dim_state=1,
+        dim_noise=1,
+        initial=np.array([0.0]),
+        horizon=1.0,
+        drift=drift,
+        diffusion=lambda x: np.ones((x.shape[0], 1, 1)),
+        drift_jacobian=lambda x: np.zeros((x.shape[0], 1, 1)),
+        diffusion_jacobians=(lambda x: np.zeros((x.shape[0], 1, 1)),),
+    )
 
 
 # ------------------------------------------------------- normal blocks
@@ -139,41 +118,50 @@ def test_normal_block_moments_are_sane():
 def test_euler_terminal_hand_computed_values():
     # two steps of 1 + x dW from x0=1: (1 + 0.5)(1 - 0.25)
     gbm = me.make_gbm(1.0, 0.0, 1.0, 1.0)
-    out = me.euler_terminal(gbm, 2, np.array([[0.5], [-0.25]]))
-    assert out[0] == 1.125
+    out = _euler_batch(gbm, 0.5, np.array([[[0.5], [-0.25]]]), 0)
+    assert out.shape == (1, 1)
+    assert out[0, 0] == 1.125
     # pure drift, four steps of rate 1: (1 + 1/4)**4
     ode = me.make_gbm(1.0, 1.0, 0.0, 1.0)
-    out = me.euler_terminal(ode, 4, np.zeros((4, 1)))
-    assert out[0] == 2.44140625
-
-
-def test_euler_terminal_records_whole_path():
-    ode = me.make_gbm(1.0, 1.0, 0.0, 1.0)
-    path = me.euler_terminal(ode, 4, np.zeros((4, 1)), record_path=True)
-    np.testing.assert_allclose(path[:, 0], 1.25 ** np.arange(5))
+    out = _euler_batch(ode, 0.25, np.zeros((1, 4, 1)), 0)
+    assert out[0, 0] == 2.44140625
 
 
 def test_euler_terminal_shape_validation():
     gbm = me.make_gbm(1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        me.euler_terminal(gbm, 2, np.zeros((3, 1)))
+        me.single_terminals(gbm, 0, 4, 0)
+    with pytest.raises(ValueError):
+        me.single_terminals(gbm, 2, -1, 0)
+    assert me.single_terminals(gbm, 2, 0, 0).shape == (0, 1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_euler_divergence_reports_step_and_path():
     with pytest.raises(EulerDivergedError) as err:
-        me.euler_terminal(explosive_model(), 2, np.zeros((2, 1)))
+        _euler_batch(explosive_model(), 0.5, np.zeros((3, 2, 1)), 5)
     assert err.value.step_index == 1
-    assert err.value.path_index == 0
+    assert err.value.path_index == 5
+    assert err.value.level is None
     assert "step 1" in str(err.value)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_batch_divergence_locates_offending_path():
+    # X^n_k = W_{t_k} until it first exceeds the level; the step after
+    # that is the first non-finite one.  The error names the lowest
+    # diverged row, offset by first_path, and that row's first bad step.
+    level, n_steps, n_paths, first_path = 1.5, 8, 64, 3
+    z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, first_path, n_paths, n_steps)
+    w = np.cumsum(math.sqrt(1.0 / n_steps) * z, axis=1)[:, :-1]
+    row = int(np.flatnonzero((w > level).any(axis=1))[0])
+    step = int(np.flatnonzero(w[row] > level)[0]) + 1
+    assert row > 0 and step > 0
     with pytest.raises(EulerDivergedError) as err:
-        me.single_terminals(explosive_model(), 2, 8, 0)
-    assert err.value.step_index == 1
-    assert 0 <= err.value.path_index < 8
+        me.single_terminals(
+            threshold_model(level), n_steps, n_paths, 0, first_path=first_path, threads=2
+        )
+    assert err.value.path_index == first_path + row
+    assert err.value.step_index == step
 
 
 # -------------------------------------------------- batch simulations
@@ -216,11 +204,10 @@ def test_coupling_consumes_block_sums_of_fine_increments():
     z = me.normal_block(7, DOMAIN_COUPLED, level, 3, 0, paths, nf)
     dw = math.sqrt(dtf) * z.reshape(paths, nf, 1)
     dw_coarse = dw.reshape(paths, nc, m, 1).sum(axis=2)
-    for p in range(paths):
-        np.testing.assert_array_equal(me.euler_terminal(model, nf, dw[p]), fine[p])
-        np.testing.assert_array_equal(
-            me.euler_terminal(model, nc, dw_coarse[p]), coarse[p]
-        )
+    np.testing.assert_array_equal(_euler_batch(model, dtf, dw, 0), fine)
+    np.testing.assert_array_equal(
+        _euler_batch(model, model.horizon / nc, dw_coarse, 0), coarse
+    )
 
 
 def test_coupled_fine_and_coarse_stay_close():
@@ -239,26 +226,17 @@ def test_coupled_terminals_validates_level_and_m():
         me.coupled_terminals(model, 2, 1, 4, 0)
 
 
-def test_single_path_wrappers_agree_with_batches():
+def test_batch_rows_match_single_path_calls():
+    # keyed reproducibility: path p depends on its key only, whatever
+    # batch it is simulated in
     model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
     batch = me.single_terminals(model, 8, 6, 5, slot=2, replication=1)
     for p in range(6):
-        key = me.RngStreamKey(master_seed=5, level=2, path_index=p, replication=1)
-        term, cost = me.simulate_single(model, 8, key)
-        assert cost == 8
-        np.testing.assert_array_equal(term, batch[p])
+        one = me.single_terminals(model, 8, 1, 5, slot=2, replication=1, first_path=p)
+        np.testing.assert_array_equal(one[0], batch[p])
 
     fine, coarse = me.coupled_terminals(model, 3, 2, 6, 5, replication=1)
     for p in range(6):
-        key = me.RngStreamKey(master_seed=5, level=3, path_index=p, replication=1)
-        pair = me.simulate_coupled(model, 3, 2, key)
-        assert pair.cost == 8 + 4
-        np.testing.assert_array_equal(pair.fine, fine[p])
-        np.testing.assert_array_equal(pair.coarse, coarse[p])
-
-
-def test_simulate_coupled_rejects_mismatched_key_level():
-    model = me.make_gbm(1.0, 0.0, 1.0, 1.0)
-    key = me.RngStreamKey(master_seed=0, level=2, path_index=0, replication=0)
-    with pytest.raises(ValueError):
-        me.simulate_coupled(model, 3, 2, key)
+        f, c = me.coupled_terminals(model, 3, 2, 1, 5, replication=1, first_path=p)
+        np.testing.assert_array_equal(f[0], fine[p])
+        np.testing.assert_array_equal(c[0], coarse[p])
