@@ -8,11 +8,11 @@ Subcommands:
   benchmark   cost-versus-RMSE table for crude and multilevel Monte Carlo
 
 Exit codes are a stable contract: 0 success, 2 usage or validation
-failure, 3 numerical failure (diverged path, degenerate transport or
-statistics).  Every command honors --seed, and numeric output is
-byte-identical across reruns and --threads settings; floats are printed
-with shortest round-trip formatting and a '.' decimal separator
-regardless of locale.
+failure (abbreviated flags and flags the command does not read
+included), 3 numerical failure (diverged path, degenerate transport or
+statistics).  Numeric output is byte-identical across reruns and
+--threads settings; floats are printed with shortest round-trip
+formatting and a '.' decimal separator regardless of locale.
 """
 
 from __future__ import annotations
@@ -84,12 +84,9 @@ def _parse_int_list(text: str, flag: str) -> List[int]:
 def _model_payoff(args) -> Tuple[object, object, Optional[AnalyticReference]]:
     """Build (model, payoff, analytic reference) from the shared flags."""
     model = make_gbm(args.x0, args.mu, args.vol, args.T)
-    if args.payoff == "identity":
-        payoff = identity_payoff()
-    else:
-        if args.strike is None:
-            raise UsageError("--payoff call requires --strike")
-        payoff = call_payoff(args.strike)
+    if (args.strike is None) == (args.payoff == "call"):
+        raise UsageError("--payoff call requires --strike, and --strike requires --payoff call")
+    payoff = identity_payoff() if args.strike is None else call_payoff(args.strike)
     try:
         if args.payoff == "identity":
             reference = gbm_identity_reference(args.x0, args.mu, args.vol, args.T)
@@ -168,7 +165,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _log(args, message: str) -> None:
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
@@ -266,6 +263,7 @@ def _verify_bracket(args) -> Tuple[dict, str]:
         samples=args.samples,
         master_seed=args.seed,
         mode=args.mode,
+        threads=_threads(args),
     )
     summary = {
         "experiment": "bracket",
@@ -512,7 +510,6 @@ def _cmd_benchmark(args) -> int:
 
 def _add_model_flags(parser) -> None:
     group = parser.add_argument_group("model and payoff")
-    group.add_argument("--model", choices=("gbm",), default="gbm")
     group.add_argument("--x0", type=float, default=1.0, help="initial state (default 1)")
     group.add_argument("--mu", type=float, default=0.0, help="drift rate (default 0)")
     group.add_argument("--vol", type=float, default=1.0, help="volatility (default 1)")
@@ -534,39 +531,36 @@ def _add_plan_flags(parser, include_n: bool = True) -> None:
     group.add_argument("--weights", help="comma-separated bak level weights a_1..a_L")
 
 
-def _add_common_flags(parser) -> None:
-    parser.add_argument("--T", type=float, default=1.0, help="time horizon (default 1)")
-    parser.add_argument(
-        "--seed", type=_seed, default=0, help="master seed in [0, 2**64) (default 0)"
-    )
-    parser.add_argument(
-        "--replication", type=int, default=0, help="replication index for stream derivation"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, help="worker threads (default: all cores)"
-    )
-    parser.add_argument(
-        "--deterministic-reduction",
-        action="store_true",
-        help="byte-identical numeric output across thread counts "
-        "(reductions are always chunk-deterministic here; the flag asserts the contract)",
-    )
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", help="write output to this file instead of stdout")
-    parser.add_argument("--verbose", action="store_true", help="one log line per level on stderr")
+_COMMON_FLAGS = {
+    "--T": dict(type=float, default=1.0, help="time horizon (default 1)"),
+    "--seed": dict(type=_seed, default=0, help="master seed in [0, 2**64) (default 0)"),
+    "--replication": dict(type=int, default=0, help="replication index for stream derivation"),
+    "--threads": dict(type=int, default=None, help="worker threads (default: all cores)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(help="write output to this file instead of stdout"),
+    "--verbose": dict(action="store_true", help="one log line per level on stderr"),
+}
+
+
+def _add_common_flags(parser, *names: str) -> None:
+    # a command declares only the shared flags it reads; argparse rejects the rest
+    for name in names:
+        parser.add_argument(name, **_COMMON_FLAGS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere, or --replication would alias --replications
     parser = argparse.ArgumentParser(
         prog="mlmc-euler",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_plan = sub.add_parser("plan", help="print a sample-size schedule")
+    p_plan = sub.add_parser("plan", help="print a sample-size schedule", allow_abbrev=False)
     _add_plan_flags(p_plan)
-    _add_common_flags(p_plan)
+    _add_common_flags(p_plan, "--T", "--out")
     p_plan.set_defaults(func=_cmd_plan)
 
     p_est = sub.add_parser(
@@ -574,10 +568,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the multilevel estimator",
         epilog="csv columns: level,count,mean,variance,third_abs_moment,cost "
         "(json carries the full report)",
+        allow_abbrev=False,
     )
     _add_model_flags(p_est)
     _add_plan_flags(p_est)
-    _add_common_flags(p_est)
+    _add_common_flags(
+        p_est, "--T", "--seed", "--replication", "--threads", "--format", "--out", "--verbose"
+    )
     p_est.add_argument("--confidence", type=float, default=0.9)
     p_est.add_argument("--ci-method", choices=("clt", "chebyshev"), default="clt")
     p_est.add_argument(
@@ -592,9 +589,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "limit-var",
         help="simulate the limiting variance",
         epilog="csv columns: variance,standard_error,samples,grid_steps",
+        allow_abbrev=False,
     )
     _add_model_flags(p_lv)
-    _add_common_flags(p_lv)
+    _add_common_flags(p_lv, "--T", "--seed", "--replication", "--threads", "--format", "--out")
     p_lv.add_argument("--samples", type=int, default=100_000)
     p_lv.add_argument("--grid-steps", type=int, default=1024)
     p_lv.set_defaults(func=_cmd_limit_var)
@@ -607,6 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "clt replication,standardized_error; coverage method,coverage,mean_radius; "
         "berry-esseen n,s_squared,rho,bound; "
         "two-level-law index,two_level_error,limit_projection",
+        allow_abbrev=False,
     )
     p_ver.add_argument(
         "--experiment", choices=sorted(_EXPERIMENTS), required=True
@@ -614,7 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_ver)
     _add_plan_flags(p_ver, include_n=False)
     p_ver.add_argument("--n", type=int, default=16, help="finest step count, a power of m")
-    _add_common_flags(p_ver)
+    _add_common_flags(p_ver, "--T", "--seed", "--threads", "--out", "--verbose")
     p_ver.add_argument("--t", type=float, help="bracket: upper integration time (default T)")
     p_ver.add_argument(
         "--mode", choices=("time", "brownian"), default="time", help="bracket flavor"
@@ -635,16 +634,16 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="csv columns: method,n,target_rmse,achieved_rmse,wall_time_seconds,cost_units. "
         "Wall time covers the sampling loop only; cost_units and achieved_rmse are "
         "seed-deterministic, wall time is not.",
+        allow_abbrev=False,
     )
     _add_model_flags(p_bench)
     _add_plan_flags(p_bench, include_n=False)
-    _add_common_flags(p_bench)
+    _add_common_flags(p_bench, "--T", "--seed", "--threads", "--format", "--out", "--verbose")
     p_bench.add_argument("--methods", default="crude-mc,mlmc")
     p_bench.add_argument("--n-list", required=True, help="comma-separated n values, powers of m")
     p_bench.add_argument("--replications", type=int, default=25)
     p_bench.add_argument("--truth", type=float, help="override the analytic expectation")
-    p_bench.set_defaults(func=_cmd_benchmark)
-    p_bench.set_defaults(format="csv")
+    p_bench.set_defaults(func=_cmd_benchmark, format="csv")
 
     return parser
 

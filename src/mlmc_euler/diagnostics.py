@@ -20,9 +20,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import ndtr
 
-from .estimator import EstimateReport, LevelStats, MlmcPlan, estimate
+from .estimator import LevelStats, MlmcPlan, estimate
 from .models import Payoff, SdeModel
-from .paths import DOMAIN_BRACKET, normal_block
+from .paths import DOMAIN_BRACKET, _chunk_size, _chunk_tasks, _run_tasks, normal_block
 
 __all__ = [
     "CltExperiment",
@@ -184,6 +184,7 @@ def bracket_expectation_check(
     samples: int = 0,
     master_seed: int = 0,
     mode: str = "time",
+    threads: int = 1,
 ) -> Tuple[float, float]:
     """Check the expected coupling bracket against its closed form.
 
@@ -197,6 +198,8 @@ def bracket_expectation_check(
     simulated paths (the integrand is constant on fine cells, so given
     the discrete path the integral is computed without extra
     discretization error); it matches the target to O(1/n) plus noise.
+    Paths are simulated in fixed chunks, so the estimate does not depend
+    on ``threads``.
     """
     target = (m - 1) * horizon * t / (2.0 * m * n)
     if mode == "time":
@@ -210,15 +213,16 @@ def bracket_expectation_check(
     cells = int(math.floor(t / dt_fine + 1e-9))
     cells = min(cells, fine_steps)
     values = np.empty(samples)
-    chunk = max(64, min(samples, (1 << 22) // max(fine_steps, 1)))
-    for a in range(0, samples, chunk):
-        b = min(a + chunk, samples)
+    k = np.arange(cells)
+
+    def work(a, b):
         z = normal_block(master_seed, DOMAIN_BRACKET, n, m, a, b - a, fine_steps)
         w = np.cumsum(math.sqrt(dt_fine) * z, axis=1)
         w = np.concatenate([np.zeros((b - a, 1)), w], axis=1)
-        k = np.arange(cells)
         diffs = w[:, k] - w[:, (k // m) * m]
         values[a:b] = np.sum(diffs**2, axis=1) * dt_fine
+
+    _run_tasks([_chunk_tasks(samples, _chunk_size(fine_steps), work)], threads)
     return float(np.mean(values)), target
 
 

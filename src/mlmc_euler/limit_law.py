@@ -141,7 +141,6 @@ def limit_draws(
     replication: int = 0,
     b_replication: Optional[int] = None,
     first_path: int = 0,
-    generic_engine: bool = False,
     threads: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Joint draws of (X_T, U_T); returns arrays (n, d), (n, d).
@@ -158,9 +157,7 @@ def limit_draws(
     q = model.dim_noise
     dt = model.horizon / n_steps
     b_rep = replication if b_replication is None else b_replication
-    engine = _general_batch
-    if d == 1 and q == 1 and not generic_engine:
-        engine = _scalar_batch
+    engine = _scalar_batch if d == 1 and q == 1 else _general_batch
     x_out = np.empty((n_draws, d))
     u_out = np.empty((n_draws, d))
 

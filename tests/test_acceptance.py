@@ -10,7 +10,6 @@ original bands verbatim.
 
 import csv
 import io
-import json
 import math
 
 import numpy as np
@@ -190,9 +189,8 @@ def test_criterion_10_complexity_slopes(tmp_path, capsys):
 
 def test_criterion_11_byte_identical_across_workers(capsys):
     commands = [
-        "estimate --vol 0.2 --mu 0.05 --n 64 --seed 0 --deterministic-reduction",
-        "limit-var --vol 0.2 --mu 0.05 --samples 20000 --grid-steps 256 --seed 0 "
-        "--deterministic-reduction",
+        "estimate --vol 0.2 --mu 0.05 --n 64 --seed 0",
+        "limit-var --vol 0.2 --mu 0.05 --samples 20000 --grid-steps 256 --seed 0",
     ]
     for command in commands:
         outputs = []

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import math
 
 import pytest
 
@@ -71,7 +70,7 @@ def test_estimate_call_interval_brackets_analytic_price(capsys):
     code, out, _ = run_cli(
         capsys,
         *(
-            "estimate --model gbm --x0 100 --mu 0.05 --vol 0.2 "
+            "estimate --x0 100 --mu 0.05 --vol 0.2 "
             "--payoff call --strike 100 --n 64 --m 4 --seed 0"
         ).split(),
     )
@@ -96,6 +95,13 @@ def test_estimate_call_requires_strike(capsys):
     code, _, err = run_cli(capsys, "estimate", "--payoff", "call", "--n", "8")
     assert code == 2
     assert "strike" in err
+
+
+def test_estimate_strike_requires_call_payoff(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--n", "4", "--strike", "1")
+    assert code == 2
+    assert out == ""
+    assert "--strike" in err
 
 
 def test_estimate_rejects_unknown_ci_method(capsys):
@@ -309,14 +315,37 @@ def test_benchmark_requires_n_list(capsys):
     assert code == 2
 
 
+# ---------------------------------------------------------------- flags
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("plan --n 16 --seed 1", "--seed"),
+        ("plan --n 16 --threads 2", "--threads"),
+        ("plan --n 16 --format csv", "--format"),
+        ("verify --experiment clt --replication 1", "--replication"),
+        ("verify --experiment clt --format csv", "--format"),
+        ("benchmark --n-list 16 --replication 3", "--replication"),
+        ("limit-var --verbose", "--verbose"),
+        ("estimate --n 16 --deterministic-reduction", "--deterministic-reduction"),
+        ("estimate --n 16 --model gbm", "--model"),
+        ("estimate --n 16 --conf 0.5", "--conf"),
+    ],
+)
+def test_flag_the_command_does_not_read_is_usage_error(capsys, command, flag):
+    # unread flags and abbreviations of read ones are rejected before any work
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 # ---------------------------------------------------------- determinism
 
 
 def test_stdout_is_byte_identical_across_threads(capsys):
-    argv = (
-        "estimate --vol 0.2 --mu 0.05 --n 16 --seed 3 "
-        "--deterministic-reduction"
-    ).split()
+    argv = "estimate --vol 0.2 --mu 0.05 --n 16 --seed 3".split()
     outputs = []
     for threads in ("1", "2", "8"):
         code, out, _ = run_cli(capsys, *argv, "--threads", threads)

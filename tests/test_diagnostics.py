@@ -166,6 +166,17 @@ def test_bracket_expectation_brownian_mode_converges():
     assert est == pytest.approx(target, rel=0.03)
 
 
+def test_bracket_brownian_mode_does_not_depend_on_threads():
+    # 70000 paths of 8 fine steps span two chunks
+    runs = [
+        me.bracket_expectation_check(
+            4, 2, 1.0, 1.0, samples=70_000, master_seed=3, mode="brownian", threads=threads
+        )
+        for threads in (1, 2)
+    ]
+    assert runs[0] == runs[1]
+
+
 def test_bracket_expectation_check_validates_mode_and_samples():
     with pytest.raises(ValueError):
         me.bracket_expectation_check(4, 2, 1.0, 1.0, mode="exact")

@@ -7,7 +7,7 @@ import pytest
 
 import mlmc_euler as me
 from mlmc_euler import limit_law
-from mlmc_euler.paths import DOMAIN_LIMIT_B
+from mlmc_euler.paths import DOMAIN_LIMIT_B, DOMAIN_LIMIT_W
 
 
 def exact_scaled_two_level_variance(x0, mu, vol, horizon, m, level):
@@ -71,12 +71,25 @@ def test_transport_equals_scaled_state_for_gbm():
     np.testing.assert_allclose(u[:, 0], expect, rtol=1e-10)
 
 
+def engine_increments(model, steps, paths, seed):
+    """The (dw, db) arrays that ``limit_draws`` feeds its engines, d = q = 1."""
+    sqrt_dt = math.sqrt(model.horizon / steps)
+    zw = me.normal_block(seed, DOMAIN_LIMIT_W, steps, 0, 0, paths, steps)
+    zb = me.normal_block(seed, DOMAIN_LIMIT_B, steps, 0, 0, paths, steps)
+    return sqrt_dt * zw.reshape(paths, steps, 1), sqrt_dt * zb.reshape(paths, steps, 1, 1)
+
+
 def test_generic_engine_matches_scalar_fast_path():
     model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    xs, us = me.limit_draws(model, 32, 400, 5)
-    xg, ug = me.limit_draws(model, 32, 400, 5, generic_engine=True)
+    dw, db = engine_increments(model, 32, 400, 5)
+    xs, us = limit_law._scalar_batch(model, 32, dw, db)
+    xg, ug = limit_law._general_batch(model, 32, dw, db)
     np.testing.assert_allclose(xs, xg, rtol=1e-12)
     np.testing.assert_allclose(us, ug, rtol=1e-12, atol=1e-14)
+    # limit_draws runs the scalar engine on these very arrays when d = q = 1
+    x, u = me.limit_draws(model, 32, 400, 5)
+    np.testing.assert_array_equal(x, xs)
+    np.testing.assert_array_equal(u, us)
 
 
 def test_limit_draws_thread_partition_is_bitwise():
@@ -183,8 +196,10 @@ def test_degenerate_transport_raises_in_both_engines():
     )
     with pytest.raises(me.DegenerateTransportError):
         me.limit_draws(model, steps, 16, 0)
-    with pytest.raises(me.DegenerateTransportError):
-        me.limit_draws(model, steps, 16, 0, generic_engine=True)
+    dw, db = engine_increments(model, steps, 16, 0)
+    for engine in (limit_law._scalar_batch, limit_law._general_batch):
+        with pytest.raises(me.DegenerateTransportError):
+            engine(model, steps, dw, db)
 
 
 def test_two_level_zero_coefficients_all_samples_zero():
