@@ -18,7 +18,6 @@ from .diagnostics import (
     bracket_time_integral_exact,
     confidence_interval,
     coverage_experiment,
-    gaussian_quantile,
     ks_statistic_one_sample,
     ks_statistic_two_sample,
     run_clt_experiment,
@@ -33,7 +32,6 @@ from .estimator import (
     optimal_m_scan,
     plan_bak,
     plan_giles,
-    variance_upper_bound,
 )
 from .limit_law import (
     DegenerateTransportError,
@@ -49,8 +47,6 @@ from .models import (
     SdeModel,
     black_scholes_call_reference,
     call_payoff,
-    check_jacobians,
-    check_payoff_growth,
     gbm_identity_reference,
     identity_payoff,
     make_gbm,
@@ -84,15 +80,12 @@ __all__ = [
     "bracket_expectation_check",
     "bracket_time_integral_exact",
     "call_payoff",
-    "check_jacobians",
-    "check_payoff_growth",
     "complexity",
     "confidence_interval",
     "coupled_terminals",
     "coverage_experiment",
     "estimate",
     "estimate_limit_variance",
-    "gaussian_quantile",
     "gbm_identity_reference",
     "identity_payoff",
     "ks_statistic_one_sample",
@@ -107,5 +100,4 @@ __all__ = [
     "run_clt_experiment",
     "single_terminals",
     "two_level_error_samples",
-    "variance_upper_bound",
 ]

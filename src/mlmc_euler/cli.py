@@ -4,7 +4,8 @@ Subcommands:
   plan        print a sample-size schedule as a table plus JSON
   estimate    run the multilevel estimator on a built-in model
   limit-var   estimate the limiting variance by direct simulation
-  verify      run one statistical verification experiment
+  verify      run one statistical verification experiment, named by its
+              own subcommand (verify clt, verify bracket, ...)
   benchmark   cost-versus-RMSE table for crude and multilevel Monte Carlo
 
 Exit codes are a stable contract: 0 success, 2 usage or validation
@@ -54,7 +55,7 @@ from .models import (
     identity_payoff,
     make_gbm,
 )
-from .paths import DOMAIN_SINGLE, EulerDivergedError, single_terminals
+from .paths import EulerDivergedError, single_terminals
 
 __all__ = ["main"]
 
@@ -124,24 +125,33 @@ def _seed(text: str) -> int:
     return value
 
 
+# the flags each allocator reads; they default to None, so a given one is seen
+_ALLOCATOR_FLAGS = {"bak": ("beta0", "weights"), "giles": ("c2",)}
+
+
 def _plan_from_args(args, n: Optional[int] = None) -> MlmcPlan:
-    """The plan the flags describe, at ``n`` steps when given instead of --n."""
+    """The plan the flags describe, at ``n`` steps when given instead of --n.
+
+    A flag of the other allocator is rejected rather than ignored; an
+    allocator flag left out takes the library default.
+    """
     n = args.n if n is None else n
-    if args.allocator == "bak":
-        weights = None
-        if args.weights is not None:
-            try:
-                weights = [float(w) for w in args.weights.split(",") if w.strip()]
-            except ValueError:
-                raise UsageError("--weights expects a comma-separated list of reals")
-        return plan_bak(n, args.m, args.alpha, horizon=args.T, weights=weights, beta0=args.beta0)
-    return plan_giles(n, args.m, args.alpha, horizon=args.T, c2=args.c2)
-
-
-def _reject_weights_with_n_list(args) -> None:
-    # one weight per level cannot fit every n, because L = log_m(n) varies
-    if args.weights is not None:
-        raise UsageError("--weights cannot be combined with --n-list: the level count varies with n")
+    kwargs = {}
+    for allocator, names in _ALLOCATOR_FLAGS.items():
+        for name in names:
+            value = getattr(args, name)
+            if value is None:
+                continue
+            if allocator != args.allocator:
+                raise UsageError("--%s applies only to --allocator %s" % (name, allocator))
+            kwargs[name] = value
+    if "weights" in kwargs:
+        try:
+            kwargs["weights"] = [float(w) for w in kwargs["weights"].split(",") if w.strip()]
+        except ValueError:
+            raise UsageError("--weights expects a comma-separated list of reals")
+    build = plan_bak if args.allocator == "bak" else plan_giles
+    return build(n, args.m, args.alpha, horizon=args.T, **kwargs)
 
 
 def _json_text(payload) -> str:
@@ -255,16 +265,22 @@ def _cmd_limit_var(args) -> int:
 
 def _verify_bracket(args) -> Tuple[dict, str]:
     t = args.t if args.t is not None else args.T
-    est, target = bracket_expectation_check(
-        args.n,
-        args.m,
-        args.T,
-        t,
-        samples=args.samples,
-        master_seed=args.seed,
-        mode=args.mode,
-        threads=_threads(args),
-    )
+    if args.mode == "time":
+        for name in ("samples", "seed", "threads"):
+            if getattr(args, name) is not None:
+                raise UsageError("--%s applies only to --mode brownian" % name)
+        est, target = bracket_expectation_check(args.n, args.m, args.T, t)
+    else:
+        est, target = bracket_expectation_check(
+            args.n,
+            args.m,
+            args.T,
+            t,
+            samples=100_000 if args.samples is None else args.samples,
+            master_seed=0 if args.seed is None else args.seed,
+            mode="brownian",
+            threads=_threads(args),
+        )
     summary = {
         "experiment": "bracket",
         "mode": args.mode,
@@ -347,12 +363,10 @@ def _verify_coverage(args) -> Tuple[dict, str]:
 
 def _verify_berry_esseen(args) -> Tuple[dict, str]:
     model, payoff, _ = _model_payoff(args)
-    if args.n_list is None:
-        raise UsageError("berry-esseen needs --n-list")
-    _reject_weights_with_n_list(args)
+    plans = [_plan_from_args(args, n) for n in _parse_int_list(args.n_list, "--n-list")]
     rows = []
-    for idx, n in enumerate(_parse_int_list(args.n_list, "--n-list")):
-        plan = _plan_from_args(args, n)
+    for idx, plan in enumerate(plans):
+        n = plan.n
         report = estimate(
             model,
             payoff,
@@ -419,17 +433,8 @@ def _verify_two_level_law(args) -> Tuple[dict, str]:
     return summary, artifact
 
 
-_EXPERIMENTS = {
-    "bracket": _verify_bracket,
-    "clt": _verify_clt,
-    "coverage": _verify_coverage,
-    "berry-esseen": _verify_berry_esseen,
-    "two-level-law": _verify_two_level_law,
-}
-
-
 def _cmd_verify(args) -> int:
-    summary, artifact = _EXPERIMENTS[args.experiment](args)
+    summary, artifact = args.run(args)
     sys.stdout.write(_json_text(summary))
     if args.out:
         _emit(artifact, args.out)
@@ -444,7 +449,8 @@ def _cmd_benchmark(args) -> int:
         if method not in ("crude-mc", "mlmc"):
             raise UsageError("unknown method %r (choose from crude-mc, mlmc)" % method)
     n_list = _parse_int_list(args.n_list, "--n-list")
-    _reject_weights_with_n_list(args)
+    # every plan is built, and so checked, before any path is simulated
+    plans = {n: _plan_from_args(args, n) for n in n_list} if "mlmc" in methods else {}
     threads = _threads(args)
     reps = args.replications
     rows = []
@@ -453,7 +459,7 @@ def _cmd_benchmark(args) -> int:
             target_rmse = n**-args.alpha
             estimates = np.empty(reps)
             if method == "mlmc":
-                plan = _plan_from_args(args, n)
+                plan = plans[n]
                 cost_units = complexity(plan)
                 start = time.perf_counter()
                 for rep in range(reps):
@@ -483,7 +489,6 @@ def _cmd_benchmark(args) -> int:
                         slot=n,
                         replication=idx * reps + rep,
                         threads=threads,
-                        domain=DOMAIN_SINGLE,
                     )
                     estimates[rep] = float(np.mean(payoff.value(terminals)))
                 wall = time.perf_counter() - start
@@ -517,21 +522,30 @@ def _add_model_flags(parser) -> None:
     group.add_argument("--strike", type=float, help="strike, required for --payoff call")
 
 
-def _add_plan_flags(parser, include_n: bool = True) -> None:
+def _add_plan_flags(parser, n_default: Optional[int] = None, n_list: bool = False) -> None:
+    """--n (required unless ``n_default`` is given) or --n-list, and the allocator flags."""
     group = parser.add_argument_group("sampling plan")
-    if include_n:
-        group.add_argument("--n", type=int, required=True, help="finest step count, a power of m")
-    group.add_argument("--m", type=int, default=2, help="refinement factor (default 2)")
+    if n_list:
+        group.add_argument("--n-list", required=True, help="comma-separated n values, powers of m")
+        # no --weights: one weight per level cannot fit every n, because L = log_m(n) varies
+        parser.set_defaults(weights=None)
+    else:
+        group.add_argument(
+            "--n", type=int, required=n_default is None, default=n_default,
+            help="finest step count, a power of m",
+        )
+        group.add_argument("--weights", help="bak: comma-separated level weights a_1..a_L")
+    _add_common_flags(group, "--m")
     group.add_argument("--alpha", type=float, default=1.0, help="weak error order (default 1)")
     group.add_argument(
         "--allocator", choices=("bak", "giles"), default="bak", help="sample-size rule"
     )
-    group.add_argument("--c2", type=float, default=1.0, help="giles variance constant")
-    group.add_argument("--beta0", type=float, default=1.9, help="bak level-0 log power")
-    group.add_argument("--weights", help="comma-separated bak level weights a_1..a_L")
+    group.add_argument("--c2", type=float, help="giles: variance constant (default 1)")
+    group.add_argument("--beta0", type=float, help="bak: level-0 log power (default 1.9)")
 
 
 _COMMON_FLAGS = {
+    "--m": dict(type=int, default=2, help="refinement factor (default 2)"),
     "--T": dict(type=float, default=1.0, help="time horizon (default 1)"),
     "--seed": dict(type=_seed, default=0, help="master seed in [0, 2**64) (default 0)"),
     "--replication": dict(type=int, default=0, help="replication index for stream derivation"),
@@ -539,6 +553,9 @@ _COMMON_FLAGS = {
     "--format": dict(choices=("json", "csv"), default="json"),
     "--out": dict(help="write output to this file instead of stdout"),
     "--verbose": dict(action="store_true", help="one log line per level on stderr"),
+    "--truth": dict(type=float, help="override the analytic expectation"),
+    "--samples": dict(type=int, default=100_000),
+    "--grid-steps": dict(type=int, default=1024),
 }
 
 
@@ -546,6 +563,76 @@ def _add_common_flags(parser, *names: str) -> None:
     # a command declares only the shared flags it reads; argparse rejects the rest
     for name in names:
         parser.add_argument(name, **_COMMON_FLAGS[name])
+
+
+def _add_verify_parsers(sub) -> None:
+    """``verify EXPERIMENT``: each experiment declares only the flags it reads."""
+    p_ver = sub.add_parser(
+        "verify",
+        help="run one verification experiment",
+        description="The JSON summary goes to stdout; --out adds a CSV artifact.",
+        allow_abbrev=False,
+    )
+    experiments = p_ver.add_subparsers(dest="experiment", required=True)
+
+    def experiment(name, run, help, columns):
+        parser = experiments.add_parser(
+            name,
+            help=help,
+            epilog="CSV artifact columns: " + columns,
+            allow_abbrev=False,
+        )
+        parser.set_defaults(func=_cmd_verify, run=run)
+        return parser
+
+    p = experiment(
+        "bracket", _verify_bracket, "expected coupling bracket against its closed form",
+        "mode,n,m,horizon,t,estimate,target",
+    )
+    p.add_argument("--n", type=int, default=16, help="coarse step count (default 16)")
+    _add_common_flags(p, "--m", "--T", "--out")
+    p.add_argument("--t", type=float, help="upper integration time (default T)")
+    p.add_argument("--mode", choices=("time", "brownian"), default="time")
+    # time mode draws no paths, so it rejects these three
+    p.add_argument("--samples", type=int, help="brownian: paths (default 100000)")
+    _add_common_flags(p, "--seed", "--threads")
+    p.set_defaults(seed=None)
+
+    p = experiment(
+        "clt", _verify_clt, "KS test of the scaled error law over replications",
+        "replication,standardized_error",
+    )
+    _add_model_flags(p)
+    _add_plan_flags(p, n_default=16)
+    _add_common_flags(p, "--T", "--seed", "--threads", "--out", "--truth")
+    p.add_argument("--replications", type=int, default=200)
+    p.add_argument("--sigma2", type=float, help="null variance (default: sample)")
+
+    p = experiment(
+        "coverage", _verify_coverage, "confidence-interval coverage over replications",
+        "method,coverage,mean_radius",
+    )
+    _add_model_flags(p)
+    _add_plan_flags(p, n_default=16)
+    _add_common_flags(p, "--T", "--seed", "--threads", "--out", "--truth")
+    p.add_argument("--replications", type=int, default=200)
+    p.add_argument("--confidence", type=float, default=0.9)
+
+    p = experiment(
+        "berry-esseen", _verify_berry_esseen, "Berry-Esseen bound per n",
+        "n,s_squared,rho,bound",
+    )
+    _add_model_flags(p)
+    _add_plan_flags(p, n_list=True)
+    _add_common_flags(p, "--T", "--seed", "--threads", "--out", "--verbose")
+
+    p = experiment(
+        "two-level-law", _verify_two_level_law, "two-level error against the limit law",
+        "index,two_level_error,limit_projection",
+    )
+    _add_model_flags(p)
+    _add_common_flags(p, "--m", "--T", "--seed", "--threads", "--out", "--samples", "--grid-steps")
+    p.add_argument("--level", type=int, default=8, help="fine level (default 8)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -592,41 +679,13 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     _add_model_flags(p_lv)
-    _add_common_flags(p_lv, "--T", "--seed", "--replication", "--threads", "--format", "--out")
-    p_lv.add_argument("--samples", type=int, default=100_000)
-    p_lv.add_argument("--grid-steps", type=int, default=1024)
+    _add_common_flags(
+        p_lv, "--T", "--seed", "--replication", "--threads", "--format", "--out",
+        "--samples", "--grid-steps",
+    )
     p_lv.set_defaults(func=_cmd_limit_var)
 
-    p_ver = sub.add_parser(
-        "verify",
-        help="run one verification experiment",
-        epilog="JSON summary goes to stdout; --out adds a CSV artifact. "
-        "Artifact columns: bracket mode,n,m,horizon,t,estimate,target; "
-        "clt replication,standardized_error; coverage method,coverage,mean_radius; "
-        "berry-esseen n,s_squared,rho,bound; "
-        "two-level-law index,two_level_error,limit_projection",
-        allow_abbrev=False,
-    )
-    p_ver.add_argument(
-        "--experiment", choices=sorted(_EXPERIMENTS), required=True
-    )
-    _add_model_flags(p_ver)
-    _add_plan_flags(p_ver, include_n=False)
-    p_ver.add_argument("--n", type=int, default=16, help="finest step count, a power of m")
-    _add_common_flags(p_ver, "--T", "--seed", "--threads", "--out", "--verbose")
-    p_ver.add_argument("--t", type=float, help="bracket: upper integration time (default T)")
-    p_ver.add_argument(
-        "--mode", choices=("time", "brownian"), default="time", help="bracket flavor"
-    )
-    p_ver.add_argument("--samples", type=int, default=100_000)
-    p_ver.add_argument("--grid-steps", type=int, default=1024)
-    p_ver.add_argument("--level", type=int, default=8, help="two-level-law level")
-    p_ver.add_argument("--replications", type=int, default=200)
-    p_ver.add_argument("--confidence", type=float, default=0.9)
-    p_ver.add_argument("--sigma2", type=float, help="clt: null variance (default: sample)")
-    p_ver.add_argument("--truth", type=float, help="override the analytic expectation")
-    p_ver.add_argument("--n-list", help="berry-esseen: comma-separated n values")
-    p_ver.set_defaults(func=_cmd_verify)
+    _add_verify_parsers(sub)
 
     p_bench = sub.add_parser(
         "benchmark",
@@ -637,12 +696,12 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     _add_model_flags(p_bench)
-    _add_plan_flags(p_bench, include_n=False)
-    _add_common_flags(p_bench, "--T", "--seed", "--threads", "--format", "--out", "--verbose")
+    _add_plan_flags(p_bench, n_list=True)
+    _add_common_flags(
+        p_bench, "--T", "--seed", "--threads", "--format", "--out", "--verbose", "--truth"
+    )
     p_bench.add_argument("--methods", default="crude-mc,mlmc")
-    p_bench.add_argument("--n-list", required=True, help="comma-separated n values, powers of m")
     p_bench.add_argument("--replications", type=int, default=25)
-    p_bench.add_argument("--truth", type=float, help="override the analytic expectation")
     p_bench.set_defaults(func=_cmd_benchmark, format="csv")
 
     return parser

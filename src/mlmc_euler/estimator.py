@@ -9,7 +9,7 @@ are independent and their variances add.
 Two sample-size allocations are provided.  ``plan_bak`` spreads the
 statistical budget n**(2 alpha) (m - 1) T sum(a) / (m**l a_l) across
 levels with tunable positive weights a (all-ones weights are optimal
-for the asymptotic cost constant); its level-0 size defaults to
+for the asymptotic cost constant); its level-0 size is
 n**(2 alpha) log(n)**beta0.  ``plan_giles`` uses the classical
 2 c2 n**(2 alpha) (L + 1) T / m**l schedule on every level including 0.
 Costs are counted in Euler sub-steps: a level-l coupled path costs
@@ -44,7 +44,6 @@ __all__ = [
     "plan_giles",
     "estimate",
     "complexity",
-    "variance_upper_bound",
     "optimal_m_scan",
 ]
 
@@ -65,7 +64,6 @@ class MlmcPlan:
     levels: int
     horizon: float
     weights: Tuple[float, ...]
-    a0: float
     beta0: float
     sample_sizes: Tuple[int, ...]
     allocator: str
@@ -88,7 +86,6 @@ class MlmcPlan:
             "levels": self.levels,
             "horizon": self.horizon,
             "weights": list(self.weights),
-            "a0": self.a0,
             "beta0": self.beta0,
             "sample_sizes": list(self.sample_sizes),
         }
@@ -182,16 +179,13 @@ def plan_bak(
     horizon: float = 1.0,
     weights: Optional[Sequence[float]] = None,
     beta0: float = 1.9,
-    a0: float = 1.0,
-    level0_rule: str = "log-power",
 ) -> MlmcPlan:
     """Weighted allocation with a separately sized crude level.
 
     Level l >= 1 receives ceil(n**(2 alpha) (m-1) T sum(a) / (m**l a_l))
-    samples.  Level 0 defaults to ceil(n**(2 alpha) log(n)**beta0)
-    (``log-power``); passing level0_rule="weighted" sizes it like the
-    other levels with weight ``a0`` instead.  Natural logarithms
-    throughout.  Rejects any level that would get fewer than 2 samples.
+    samples and level 0 receives ceil(n**(2 alpha) log(n)**beta0).
+    Natural logarithms throughout.  Rejects any level that would get
+    fewer than 2 samples.
     """
     _validate_common(alpha, horizon)
     depth = _depth_of(n, m)
@@ -204,18 +198,10 @@ def plan_bak(
         raise ValueError("weights must be positive")
     if not 0.0 < beta0 <= 2.0:
         raise ValueError("beta0 must lie in (0, 2]")
-    if not a0 > 0.0:
-        raise ValueError("a0 must be positive")
-    if level0_rule not in ("log-power", "weighted"):
-        raise ValueError("level0_rule must be 'log-power' or 'weighted'")
 
     budget = n ** (2.0 * alpha)
     weight_sum = sum(weights)
-    sizes = []
-    if level0_rule == "log-power":
-        sizes.append(math.ceil(budget * math.log(n) ** beta0))
-    else:
-        sizes.append(math.ceil(budget * (m - 1) * horizon * weight_sum / a0))
+    sizes = [math.ceil(budget * math.log(n) ** beta0)]
     for lvl in range(1, depth + 1):
         sizes.append(
             math.ceil(budget * (m - 1) * horizon * weight_sum / (m**lvl * weights[lvl - 1]))
@@ -227,7 +213,6 @@ def plan_bak(
         levels=depth,
         horizon=horizon,
         weights=weights,
-        a0=a0,
         beta0=beta0,
         sample_sizes=tuple(sizes),
         allocator="bak",
@@ -262,7 +247,6 @@ def plan_giles(
         levels=depth,
         horizon=horizon,
         weights=(1.0,) * depth,
-        a0=1.0,
         beta0=1.9,
         sample_sizes=tuple(sizes),
         allocator="giles",
@@ -304,28 +288,6 @@ def optimal_m_scan(
         raise ValueError("m_values must be non-empty")
     m_star = min(rows, key=lambda row: row[1])[0]
     return rows, m_star
-
-
-def variance_upper_bound(
-    plan: MlmcPlan, lipschitz_hint: float, strong_error_constant: float
-) -> float:
-    """Sanity ceiling c * sum(m**-l / N_l) on the estimator variance.
-
-    c = 2 C**2 K (1 + m), where C is the payoff Lipschitz constant and K
-    a strong-error constant with E|X_T - X^n_T|^2 <= K/n; the level-l
-    coupled variance is then at most 2 C**2 K (1 + m) m**-l.  K must be
-    taken large enough that the same envelope also dominates the crude
-    level's variance (the l = 0 term of the sum).  Loose by design;
-    useful only as an order-of-magnitude ceiling.
-    """
-    if lipschitz_hint is None or not lipschitz_hint > 0.0:
-        raise ValueError("payoff must carry a positive Lipschitz constant")
-    if not strong_error_constant > 0.0:
-        raise ValueError("strong_error_constant must be positive")
-    c = 2.0 * lipschitz_hint**2 * strong_error_constant * (1 + plan.m)
-    return c * sum(
-        plan.m ** (-lvl) / plan.sample_sizes[lvl] for lvl in range(plan.levels + 1)
-    )
 
 
 def _level_statistics(values: np.ndarray, level: int, cost_per_path: int) -> LevelStats:

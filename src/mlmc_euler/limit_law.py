@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -139,24 +139,20 @@ def limit_draws(
     n_draws: int,
     master_seed: int,
     replication: int = 0,
-    b_replication: Optional[int] = None,
     first_path: int = 0,
     threads: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Joint draws of (X_T, U_T); returns arrays (n, d), (n, d).
 
     The state path consumes the W stream and the accumulator the B
-    stream; ``b_replication`` re-seeds only B, leaving X_T bit-identical
-    (the default couples both streams to ``replication``).  Work is
-    chunked over fixed path spans, so results do not depend on
-    ``threads``.
+    stream, both keyed by ``replication``.  Work is chunked over fixed
+    path spans, so results do not depend on ``threads``.
     """
     if n_steps < 1 or n_draws < 0:
         raise ValueError("n_steps must be >= 1 and n_draws >= 0")
     d = model.dim_state
     q = model.dim_noise
     dt = model.horizon / n_steps
-    b_rep = replication if b_replication is None else b_replication
     engine = _scalar_batch if d == 1 and q == 1 else _general_batch
     x_out = np.empty((n_draws, d))
     u_out = np.empty((n_draws, d))
@@ -166,7 +162,7 @@ def limit_draws(
             master_seed, DOMAIN_LIMIT_W, n_steps, replication, first_path + a, b - a, q * n_steps
         )
         zb = normal_block(
-            master_seed, DOMAIN_LIMIT_B, n_steps, b_rep, first_path + a, b - a, q * q * n_steps
+            master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a, q * q * n_steps
         )
         dw = math.sqrt(dt) * zw.reshape(b - a, n_steps, q)
         # dB^ij is indexed (noise column i, Jacobian column j).

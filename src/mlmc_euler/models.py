@@ -8,9 +8,8 @@ together with their Jacobians, which the limit-process simulator needs.
 All coefficient callables must be vectorized over leading axes: a state
 array of shape (..., d) maps to (..., d) for the drift, (..., d, q) for
 the diffusion matrix, and (..., d, d) for each Jacobian.  Payoffs map
-terminal states (..., d) to scalars (...,) and carry enough metadata
-(growth exponent, Lipschitz hint, kink locations) for the estimators to
-validate their standing assumptions.
+terminal states (..., d) to scalars (...,) and carry an almost-everywhere
+gradient plus the kink locations, which the limit-law simulator needs.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ __all__ = [
     "call_payoff",
     "gbm_identity_reference",
     "black_scholes_call_reference",
-    "check_jacobians",
-    "check_payoff_growth",
 ]
 
 
@@ -84,24 +81,12 @@ class Payoff:
     ``value`` maps (..., d) -> (...,).  ``gradient`` maps (..., d) ->
     (..., d) and may be an almost-everywhere gradient; ``kinks`` lists
     first-coordinate locations where it is undefined so samplers can
-    guard against landing on them.  ``growth_exponent`` is the p in the
-    polynomial-growth Lipschitz bound
-
-        |f(x) - f(y)| <= C (1 + |x|^p + |y|^p) |x - y|,
-
-    and ``lipschitz_hint`` is the C (also the plain Lipschitz constant
-    when p == 0).
+    guard against landing on them.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    growth_exponent: float
-    lipschitz_hint: Optional[float] = None
     kinks: Tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.growth_exponent < 0:
-            raise ValueError("growth exponent must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -167,8 +152,6 @@ def identity_payoff() -> Payoff:
             [np.ones(x.shape[:-1] + (1,)), np.zeros(x.shape[:-1] + (x.shape[-1] - 1,))],
             axis=-1,
         ),
-        growth_exponent=0.0,
-        lipschitz_hint=1.0,
     )
 
 
@@ -185,13 +168,7 @@ def call_payoff(strike: float) -> Payoff:
         g[..., 0] = (x[..., 0] > strike).astype(float)
         return g
 
-    return Payoff(
-        value=value,
-        gradient=gradient,
-        growth_exponent=0.0,
-        lipschitz_hint=1.0,
-        kinks=(strike,),
-    )
+    return Payoff(value=value, gradient=gradient, kinks=(strike,))
 
 
 def gbm_identity_reference(x0: float, mu: float, vol: float, horizon: float) -> AnalyticReference:
@@ -240,70 +217,3 @@ def black_scholes_call_reference(
     value = x0 * math.exp(rate * horizon) * ndtr(d1) - strike * ndtr(d2)
     return AnalyticReference(exact_expectation=float(value), exact_limit_variance=None)
 
-
-def check_jacobians(
-    model: SdeModel,
-    states: np.ndarray,
-    rel_step: float = 1e-6,
-    rtol: float = 1e-5,
-) -> None:
-    """Validate declared Jacobians against central finite differences.
-
-    ``states`` has shape (n, d).  The step is rel_step * (1 + |x_k|)
-    per coordinate.  Raises ValueError naming the first coefficient and
-    state that disagree beyond ``rtol`` relative (plus matching absolute)
-    tolerance.
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    d = model.dim_state
-
-    def fd_jacobian(fn, x):
-        cols = []
-        for k in range(d):
-            h = rel_step * (1.0 + abs(x[k]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[k] += h
-            xm[k] -= h
-            cols.append((fn(xp) - fn(xm)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
-
-    columns = [("drift", model.drift, model.drift_jacobian)]
-    for j, jac in enumerate(model.diffusion_jacobians):
-        columns.append(
-            ("diffusion[%d]" % j, lambda x, j=j: model.diffusion(x)[..., j], jac)
-        )
-    for name, fn, jac in columns:
-        for x in states:
-            approx = fd_jacobian(fn, x)
-            declared = jac(x)
-            scale = np.maximum(np.abs(declared), 1.0)
-            if not np.allclose(approx, declared, rtol=rtol, atol=rtol * scale.max()):
-                raise ValueError(
-                    "Jacobian of %s disagrees with finite differences at state %s"
-                    % (name, x)
-                )
-
-
-def check_payoff_growth(
-    payoff: Payoff,
-    states: np.ndarray,
-    constant: Optional[float] = None,
-) -> None:
-    """Spot-check |f(x) - f(y)| <= C (1 + |x|^p + |y|^p) |x - y| on sample pairs.
-
-    Pairs are consecutive rows of ``states``; C defaults to the payoff's
-    Lipschitz hint.  Raises ValueError on the first violating pair.
-    """
-    c = constant if constant is not None else payoff.lipschitz_hint
-    if c is None:
-        raise ValueError("no growth constant available for this payoff")
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    p = payoff.growth_exponent
-    for x, y in zip(states[:-1], states[1:]):
-        lhs = abs(float(payoff.value(x)) - float(payoff.value(y)))
-        nx = float(np.linalg.norm(x))
-        ny = float(np.linalg.norm(y))
-        rhs = c * (1.0 + nx**p + ny**p) * float(np.linalg.norm(x - y))
-        if lhs > rhs * (1.0 + 1e-12):
-            raise ValueError("growth bound violated for pair %s, %s" % (x, y))

@@ -132,8 +132,8 @@ def test_estimate_real_divergence_exits_3(capsys):
 def test_truth_flag_required_when_no_closed_form(capsys):
     # exp(mu T) overflows, so no analytic reference exists for the truth
     for command in (
-        ("verify", "--experiment", "clt", "--n", "16", "--replications", "5"),
-        ("verify", "--experiment", "coverage", "--n", "16", "--replications", "5"),
+        ("verify", "clt", "--n", "16", "--replications", "5"),
+        ("verify", "coverage", "--n", "16", "--replications", "5"),
         ("benchmark", "--n-list", "4", "--replications", "2"),
     ):
         code, out, err = run_cli(capsys, *command, "--mu", "1e308")
@@ -181,7 +181,7 @@ def test_limit_var_zero_vol_call_at_strike_is_exit_3_or_2(capsys):
 
 
 def test_verify_bracket_time_mode_exact(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--experiment", "bracket", "--n", "4")
+    code, out, _ = run_cli(capsys, "verify", "bracket", "--n", "4")
     assert code == 0
     payload = json.loads(out)
     assert payload["estimate"] == payload["target"] == 0.0625
@@ -190,7 +190,7 @@ def test_verify_bracket_time_mode_exact(capsys):
 def test_verify_bracket_brownian_mode(capsys):
     code, out, _ = run_cli(
         capsys,
-        *"verify --experiment bracket --mode brownian --n 64 --samples 5000".split(),
+        *"verify bracket --mode brownian --n 64 --samples 5000".split(),
     )
     assert code == 0
     payload = json.loads(out)
@@ -202,7 +202,7 @@ def test_verify_clt_writes_csv_artifact(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
         *(
-            "verify --experiment clt --n 4 --replications 12 --vol 0.2 "
+            "verify clt --n 4 --replications 12 --vol 0.2 "
             "--mu 0.05 --out " + str(target)
         ).split(),
     )
@@ -216,7 +216,7 @@ def test_verify_clt_writes_csv_artifact(capsys, tmp_path):
 
 
 def test_verify_unknown_experiment_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "verify", "--experiment", "nope")
+    code, _, _ = run_cli(capsys, "verify", "nope")
     assert code == 2
 
 
@@ -224,7 +224,7 @@ def test_verify_coverage_small_run(capsys):
     code, out, _ = run_cli(
         capsys,
         *(
-            "verify --experiment coverage --n 4 --replications 12 "
+            "verify coverage --n 4 --replications 12 "
             "--vol 0.2 --mu 0.05 --confidence 0.9"
         ).split(),
     )
@@ -238,8 +238,7 @@ def test_verify_berry_esseen_reports_slope(capsys):
     code, out, _ = run_cli(
         capsys,
         *(
-            "verify --experiment berry-esseen --n-list 16,32,64 "
-            "--vol 0.2 --mu 0.05 --replications 2"
+            "verify berry-esseen --n-list 16,32,64 --vol 0.2 --mu 0.05"
         ).split(),
     )
     assert code == 0
@@ -253,7 +252,7 @@ def test_verify_berry_esseen_reports_slope(capsys):
 def test_verify_berry_esseen_rejects_weights(capsys):
     code, out, err = run_cli(
         capsys,
-        *"verify --experiment berry-esseen --n-list 16,32 --weights 1,1,1,1".split(),
+        *"verify berry-esseen --n-list 16,32 --weights 1,1,1,1".split(),
     )
     assert code == 2
     assert out == ""
@@ -264,7 +263,7 @@ def test_verify_two_level_law_small(capsys):
     code, out, _ = run_cli(
         capsys,
         *(
-            "verify --experiment two-level-law --level 4 --samples 4000 "
+            "verify two-level-law --level 4 --samples 4000 "
             "--grid-steps 64 --vol 0.2 --mu 0.05"
         ).split(),
     )
@@ -324,8 +323,22 @@ def test_benchmark_requires_n_list(capsys):
         ("plan --n 16 --seed 1", "--seed"),
         ("plan --n 16 --threads 2", "--threads"),
         ("plan --n 16 --format csv", "--format"),
-        ("verify --experiment clt --replication 1", "--replication"),
-        ("verify --experiment clt --format csv", "--format"),
+        ("plan --n 16 --c2 7", "--c2"),
+        ("plan --n 16 --allocator giles --beta0 0.5", "--beta0"),
+        ("plan --n 16 --allocator giles --weights 1,2,3,4", "--weights"),
+        ("verify clt --replication 1", "--replication"),
+        ("verify clt --format csv", "--format"),
+        ("verify bracket --n 8 --vol 3", "--vol"),
+        ("verify bracket --n 8 --replications 7", "--replications"),
+        ("verify bracket --n 8 --allocator giles", "--allocator"),
+        ("verify bracket --n 8 --samples 9", "--samples"),
+        ("verify bracket --n 8 --seed 4", "--seed"),
+        ("verify bracket --n 8 --threads 2", "--threads"),
+        ("verify two-level-law --n 64", "--n"),
+        ("verify two-level-law --alpha 0.3", "--alpha"),
+        ("verify two-level-law --confidence 0.5", "--confidence"),
+        ("verify two-level-law --truth 9", "--truth"),
+        ("verify berry-esseen --n-list 16,32 --replications 2", "--replications"),
         ("benchmark --n-list 16 --replication 3", "--replication"),
         ("limit-var --verbose", "--verbose"),
         ("estimate --n 16 --deterministic-reduction", "--deterministic-reduction"),

@@ -1,4 +1,4 @@
-"""Quantiles, intervals, KS statistics, brackets, replication studies."""
+"""Intervals, KS statistics, brackets, replication studies."""
 
 import math
 from fractions import Fraction
@@ -12,63 +12,13 @@ from hypothesis import strategies as st
 
 import mlmc_euler as me
 
-Z_95 = 1.6448536269514722  # standard normal 0.95 quantile
-
-
-# ---------------------------------------------------------- quantiles
-
-
-def test_gaussian_quantile_frozen_points():
-    assert me.gaussian_quantile(0.5) == 0.0
-    assert me.gaussian_quantile(0.95) == pytest.approx(Z_95, abs=5e-9)
-    assert me.gaussian_quantile(0.975) == pytest.approx(1.959963984540054, abs=5e-9)
-
-
-def test_gaussian_quantile_is_bit_stable():
-    assert me.gaussian_quantile(0.95) == me.gaussian_quantile(0.95)
-    # rational arithmetic only, so equal inputs give equal bits; the
-    # frozen digits double as a regression anchor
-    assert repr(me.gaussian_quantile(0.95)) == "1.644853625133699"
-
-
-def test_gaussian_quantile_against_reference_inverse_cdf():
-    grid = np.concatenate(
-        [
-            np.array([1e-9, 1e-6, 0.02424, 0.02426]),
-            np.linspace(0.001, 0.999, 997),
-            np.array([0.97574, 0.97576, 1.0 - 1e-6, 1.0 - 1e-9]),
-        ]
-    )
-    for p in grid:
-        ref = scipy.special.ndtri(p)
-        assert me.gaussian_quantile(float(p)) == pytest.approx(
-            ref, abs=5e-9 * (1.0 + abs(ref))
-        )
-
-
-@settings(max_examples=200, deadline=None)
-@given(p=st.floats(1e-6, 0.5))
-def test_gaussian_quantile_antisymmetric(p):
-    # below ~1e-7 the float 1 - p no longer encodes the tail mass, so
-    # antisymmetry of the inputs themselves breaks down
-    left = me.gaussian_quantile(p)
-    right = me.gaussian_quantile(1.0 - p)
-    assert left <= 0.0
-    assert left == pytest.approx(-right, abs=2e-8 * (1.0 + abs(right)))
-
-
-def test_gaussian_quantile_rejects_boundary():
-    for p in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            me.gaussian_quantile(p)
-
-
 # ---------------------------------------------------------- intervals
 
 
 def test_confidence_interval_radii():
-    lo, hi = me.confidence_interval(2.0, 0.5, 0.90, method="clt")
-    assert hi - lo == pytest.approx(2.0 * Z_95 * 0.5, rel=1e-8)
+    # the radius is scipy's inverse normal CDF, the one the path sampler uses
+    radius = scipy.special.ndtri(0.95) * 0.5
+    assert me.confidence_interval(2.0, 0.5, 0.90, method="clt") == (2.0 - radius, 2.0 + radius)
     lo, hi = me.confidence_interval(2.0, 0.5, 0.90, method="chebyshev")
     assert hi - lo == pytest.approx(2.0 * 0.5 / math.sqrt(0.10), rel=1e-12)
     assert (lo + hi) / 2.0 == pytest.approx(2.0, rel=1e-12)

@@ -35,12 +35,6 @@ def test_plan_bak_reference_table():
     assert plan.sample_sizes[0] == math.ceil(256 * math.log(16) ** 1.9)
 
 
-def test_plan_bak_weighted_level0_rule():
-    plan = me.plan_bak(16, 2, 1.0, level0_rule="weighted")
-    assert plan.sample_sizes[0] == 1024
-    assert plan.sample_sizes[1:] == (512, 256, 128, 64)
-
-
 def test_plan_giles_reference_table():
     plan = me.plan_giles(16, 2, 1.0, c2=1.0)
     assert plan.sample_sizes == (2560, 1280, 640, 320, 160)
@@ -136,24 +130,6 @@ def test_asymptotic_cost_constant_formula():
     for m in (2, 3, 7, 12):
         expect = (m**2 - 1) / (m * math.log(m) ** 2)
         assert me.asymptotic_cost_constant(m) == pytest.approx(expect, rel=1e-12)
-
-
-# ------------------------------------------------------ variance bound
-
-
-def test_variance_upper_bound_dominates_measured_variance():
-    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    pay = me.identity_payoff()
-    plan = me.plan_bak(64, 2, 1.0)
-    report = me.estimate(model, pay, plan, 0, bias_pilot=0)
-    measured = sum(
-        stat.variance / stat.count for stat in report.level_stats
-    )
-    bound = me.variance_upper_bound(
-        plan, lipschitz_hint=1.0, strong_error_constant=0.25
-    )
-    assert bound >= measured
-    assert bound < 1.0  # and it is not vacuous at this scale
 
 
 # ----------------------------------------------------------- estimate

@@ -100,14 +100,6 @@ def test_limit_draws_thread_partition_is_bitwise():
     np.testing.assert_array_equal(u1, u8)
 
 
-def test_b_replication_reseeds_only_the_accumulator():
-    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    x0_, u0_ = me.limit_draws(model, 32, 200, 0)
-    x1_, u1_ = me.limit_draws(model, 32, 200, 0, b_replication=7)
-    np.testing.assert_array_equal(x0_, x1_)
-    assert not np.array_equal(u0_, u1_)
-
-
 def test_limit_moments_match_closed_form():
     # E U = 0 and E U^2 = vol^4 T / 2 x0^2 exp((2 mu + vol^2) T), up to
     # the O(1/steps) discretization of the second moment

@@ -42,28 +42,6 @@ def test_gbm_rejects_bad_params():
     me.make_gbm(1.0, 0.05, 0.0, 1.0)
 
 
-def test_declared_jacobians_match_finite_differences():
-    model = me.make_gbm(1.0, 0.07, 0.4, 2.0)
-    states = np.array([[0.5], [1.0], [3.0], [10.0]])
-    me.check_jacobians(model, states)
-
-
-def test_check_jacobians_catches_wrong_derivative():
-    good = me.make_gbm(1.0, 0.07, 0.4, 1.0)
-    bad = me.SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        initial=good.initial,
-        horizon=good.horizon,
-        drift=good.drift,
-        diffusion=good.diffusion,
-        drift_jacobian=lambda x: np.full((x.shape[0], 1, 1), 0.5),
-        diffusion_jacobians=good.diffusion_jacobians,
-    )
-    with pytest.raises(ValueError):
-        me.check_jacobians(bad, np.array([[1.0], [2.0]]))
-
-
 def test_identity_payoff():
     pay = me.identity_payoff()
     x = np.array([[1.5], [-0.25]])
@@ -81,12 +59,6 @@ def test_call_payoff_value_gradient_and_kink():
     assert pay.kinks == (2.0,)
     with pytest.raises(ValueError):
         me.call_payoff(-1.0)
-
-
-def test_payoff_growth_check():
-    states = np.linspace(0.1, 50.0, 23)[:, None]
-    me.check_payoff_growth(me.identity_payoff(), states)
-    me.check_payoff_growth(me.call_payoff(1.0), states)
 
 
 def test_gbm_identity_reference_mean():
