@@ -53,9 +53,9 @@ class MlmcPlan:
     """Frozen sample-size schedule for one multilevel run.
 
     ``sample_sizes`` has L + 1 entries: index 0 is the crude one-step
-    estimator, index l >= 1 the level-l coupled estimator.  ``weights``
-    are the per-level allocation weights a_1..a_L actually used (ones
-    for plan_giles, which has no weight notion).
+    estimator, index l >= 1 the level-l coupled estimator.  A plan holds
+    only the parameters its allocator read: a bak plan its weights
+    a_1..a_L and ``beta0``, a giles plan its ``c2``; the others are None.
     """
 
     m: int
@@ -63,10 +63,11 @@ class MlmcPlan:
     alpha: float
     levels: int
     horizon: float
-    weights: Tuple[float, ...]
-    beta0: float
     sample_sizes: Tuple[int, ...]
     allocator: str
+    weights: Optional[Tuple[float, ...]] = None
+    beta0: Optional[float] = None
+    c2: Optional[float] = None
 
     def __post_init__(self):
         if len(self.sample_sizes) != self.levels + 1:
@@ -78,17 +79,20 @@ class MlmcPlan:
             )
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "allocator": self.allocator,
             "m": self.m,
             "n": self.n,
             "alpha": self.alpha,
             "levels": self.levels,
             "horizon": self.horizon,
-            "weights": list(self.weights),
-            "beta0": self.beta0,
             "sample_sizes": list(self.sample_sizes),
         }
+        if self.allocator == "bak":
+            out.update(weights=list(self.weights), beta0=self.beta0)
+        else:
+            out["c2"] = self.c2
+        return out
 
 
 @dataclass(frozen=True)
@@ -212,10 +216,10 @@ def plan_bak(
         alpha=alpha,
         levels=depth,
         horizon=horizon,
-        weights=weights,
-        beta0=beta0,
         sample_sizes=tuple(sizes),
         allocator="bak",
+        weights=weights,
+        beta0=beta0,
     )
 
 
@@ -246,10 +250,9 @@ def plan_giles(
         alpha=alpha,
         levels=depth,
         horizon=horizon,
-        weights=(1.0,) * depth,
-        beta0=1.9,
         sample_sizes=tuple(sizes),
         allocator="giles",
+        c2=c2,
     )
 
 

@@ -37,7 +37,9 @@ from .paths import (
     DOMAIN_LIMIT_W,
     _chunk_size,
     _chunk_tasks,
+    _euler_step,
     _run_tasks,
+    _step_major,
     coupled_terminals,
     normal_block,
 )
@@ -80,8 +82,15 @@ class LimitSimConfig:
 
 
 def _scalar_batch(model, n_steps, dw, db):
-    """d == q == 1 specialization working on flat (n,) arrays."""
-    n = dw.shape[0]
+    """d == q == 1 specialization working on flat (n,) arrays.
+
+    ``dw`` (steps, n, 1) and ``db`` (steps, n, 1, 1) are step-major.  The
+    state update stays fused here instead of going through
+    ``paths._euler_step``: the accumulator reuses the diffusion column
+    that update needs, and this engine is the inner loop of
+    ``estimate_limit_variance`` for every scalar model.
+    """
+    n = dw.shape[1]
     dt = model.horizon / n_steps
     x = np.full(n, model.initial[0])
     z = np.ones(n)
@@ -92,17 +101,21 @@ def _scalar_batch(model, n_steps, dw, db):
         diff_col = model.diffusion(xs)[:, 0, 0]
         if np.any(np.abs(z) * _COND_LIMIT < 1.0):
             raise DegenerateTransportError("transport collapsed to zero")
-        acc = acc + grad_diff * diff_col / z * db[:, k, 0, 0]
+        acc = acc + grad_diff * diff_col / z * db[k, :, 0, 0]
         grad_drift = model.drift_jacobian(xs)[:, 0, 0]
-        z = z + (grad_drift * dt + grad_diff * dw[:, k, 0]) * z
-        x = x + model.drift(xs)[:, 0] * dt + diff_col * dw[:, k, 0]
+        z = z + (grad_drift * dt + grad_diff * dw[k, :, 0]) * z
+        x = x + model.drift(xs)[:, 0] * dt + diff_col * dw[k, :, 0]
     u = z * acc / math.sqrt(2.0)
     return x[:, None], u[:, None]
 
 
 def _general_batch(model, n_steps, dw, db):
-    """Generic d, q recursion on stacked matrices."""
-    n = dw.shape[0]
+    """Generic d, q recursion on stacked matrices.
+
+    ``dw`` (steps, n, q) and ``db`` (steps, n, q, q) are step-major.  The
+    state takes the package's one Euler step, ``paths._euler_step``.
+    """
+    n = dw.shape[1]
     d = model.dim_state
     q = model.dim_noise
     dt = model.horizon / n_steps
@@ -116,16 +129,16 @@ def _general_batch(model, n_steps, dw, db):
         driven = np.zeros((n, d))
         for j in range(q):
             gj_cols = np.einsum("nab,nbi->nai", grads[j], diff)  # (n, d, q)
-            driven += np.einsum("nai,ni->na", gj_cols, db[:, k, :, j])
+            driven += np.einsum("nai,ni->na", gj_cols, db[k, :, :, j])
         try:
             acc = acc + np.linalg.solve(z, driven[..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise DegenerateTransportError("transport is singular") from None
         step = model.drift_jacobian(x) * dt
         for j in range(q):
-            step = step + grads[j] * dw[:, k, j, None, None]
+            step = step + grads[j] * dw[k, :, j, None, None]
         z = z + np.einsum("nab,nbc->nac", step, z)
-        x = x + model.drift(x) * dt + np.einsum("ndq,nq->nd", diff, dw[:, k, :])
+        x = _euler_step(model, x, dt, dw[k], diff)
     cond = np.linalg.cond(z)
     if not np.isfinite(cond).all() or cond.max() > _COND_LIMIT:
         raise DegenerateTransportError("transport condition number above 1e12")
@@ -158,15 +171,24 @@ def limit_draws(
     u_out = np.empty((n_draws, d))
 
     def work(a, b):
-        zw = normal_block(
-            master_seed, DOMAIN_LIMIT_W, n_steps, replication, first_path + a, b - a, q * n_steps
+        # each stream's rows are freed as soon as their step-major copy exists
+        dw = _step_major(
+            normal_block(
+                master_seed, DOMAIN_LIMIT_W, n_steps, replication, first_path + a, b - a,
+                q * n_steps,
+            ),
+            math.sqrt(dt),
+            n_steps,
         )
-        zb = normal_block(
-            master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a, q * q * n_steps
-        )
-        dw = math.sqrt(dt) * zw.reshape(b - a, n_steps, q)
         # dB^ij is indexed (noise column i, Jacobian column j).
-        db = math.sqrt(dt) * zb.reshape(b - a, n_steps, q, q)
+        db = _step_major(
+            normal_block(
+                master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a,
+                q * q * n_steps,
+            ),
+            math.sqrt(dt),
+            n_steps,
+        ).reshape(n_steps, b - a, q, q)
         x_out[a:b], u_out[a:b] = engine(model, n_steps, dw, db)
 
     _run_tasks([_chunk_tasks(n_draws, _chunk_size(q * (1 + q) * n_steps), work)], threads)

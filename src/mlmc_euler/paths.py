@@ -12,6 +12,13 @@ padded to a multiple of four because the underlying generator advances
 in four-word blocks.  Master seeds must lie in [0, 2**64); anything
 else is rejected rather than wrapped onto another seed's stream.
 
+Layout contract: ``normal_block`` returns path-major rows, one row per
+path, so the stream stays addressed per path.  Every Euler kernel takes
+step-major increments instead: (steps, n, q) Brownian increments, and
+(steps, n, q, q) for the limit law's second noise, so each step reads
+one contiguous (n, q) slice.  ``_step_major`` turns the rows of a chunk
+into that layout and scales them by sqrt(dt) in the same pass.
+
 Scheduling contract: a batch is split into chunk tasks whose boundaries
 depend only on the per-path draw budget (``_chunk_size``), never on the
 thread count.  ``_run_tasks`` is the package's one scheduler: it runs
@@ -107,14 +114,45 @@ def normal_block(
     bg = _philox(master_seed, domain, slot, replication)
     # advance() moves the counter in four-word blocks.
     bg.advance(first_path * pad // 4)
-    u = np.random.Generator(bg).random(n_paths * pad)
-    u = u.reshape(n_paths, pad)[:, :draws_per_path]
-    return ndtri(u + _HALF_ULP)
+    u = np.random.Generator(bg).random(n_paths * pad).reshape(n_paths, pad)
+    if pad != draws_per_path:
+        return ndtri(u[:, :draws_per_path] + _HALF_ULP)
+    # no padding to drop: transform the uniforms in place
+    u += _HALF_ULP
+    return ndtri(u, out=u)
 
 
-def _euler_step(model, x: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
-    """One Euler step x + b(x) dt + s(x) dW for states (n, d) and increments (n, q)."""
-    return x + model.drift(x) * dt + np.einsum("nij,nj->ni", model.diffusion(x), dw)
+# Paths per block of ``_step_major``: at least 256, and about 2**16
+# elements per block, so a chunk of short paths is a single block.
+_BLOCK_ELEMENTS = 1 << 16
+_MIN_BLOCK_PATHS = 256
+
+
+def _step_major(z: np.ndarray, scale: float, n_steps: int) -> np.ndarray:
+    """``scale * z`` for path-major rows z (n, n_steps * k), as (n_steps, n, k).
+
+    The transpose is written in blocks of paths, so the rows it reads
+    stay in cache while it scatters them over the steps.
+    """
+    n = z.shape[0]
+    rows = z.reshape(n, n_steps, -1)
+    out = np.empty((n_steps, n, rows.shape[2]))
+    block = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // z.shape[1])
+    for a in range(0, n, block):
+        np.multiply(rows[a : a + block].transpose(1, 0, 2), scale, out=out[:, a : a + block])
+    return out
+
+
+def _euler_step(
+    model, x: np.ndarray, dt: float, dw: np.ndarray, diff: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """One Euler step x + b(x) dt + s(x) dW for states (n, d) and increments (n, q).
+
+    ``diff`` is s(x), shape (n, d, q), when the caller has evaluated it already.
+    """
+    if diff is None:
+        diff = model.diffusion(x)
+    return x + model.drift(x) * dt + np.einsum("nij,nj->ni", diff, dw)
 
 
 def _euler_batch(
@@ -125,20 +163,21 @@ def _euler_batch(
 ) -> np.ndarray:
     """Run the Euler recursion for a batch of paths.
 
-    ``dw`` has shape (n, steps, q).  Returns terminal states (n, d).
+    ``dw`` is step-major, shape (steps, n, q): step k reads the
+    contiguous slice ``dw[k]``.  Returns terminal states (n, d).
     Raises EulerDivergedError if any path ends non-finite; the first
     such path is then re-run alone to report its first non-finite step.
     """
-    n, steps, _ = dw.shape
+    steps, n, _ = dw.shape
     x = np.broadcast_to(model.initial, (n, model.dim_state)).copy()
     for k in range(steps):
-        x = _euler_step(model, x, dt, dw[:, k, :])
+        x = _euler_step(model, x, dt, dw[k])
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         row = int(bad[0])
         x = model.initial[None, :].copy()
         for k in range(steps):
-            x = _euler_step(model, x, dt, dw[row : row + 1, k, :])
+            x = _euler_step(model, x, dt, dw[k, row : row + 1])
             if not np.isfinite(x).all():
                 break
         raise EulerDivergedError(step_index=k, path_index=first_path + row)
@@ -217,10 +256,12 @@ def _single_tasks(
     draws = q * n_steps
 
     def work(a, b):
-        z = normal_block(
-            master_seed, domain, slot, replication, first_path + a, b - a, draws
+        # the path-major rows are freed as soon as their step-major copy exists
+        dw = _step_major(
+            normal_block(master_seed, domain, slot, replication, first_path + a, b - a, draws),
+            math.sqrt(dt),
+            n_steps,
         )
-        dw = math.sqrt(dt) * z.reshape(b - a, n_steps, q)
         out[a:b] = _euler_batch(model, dt, dw, first_path + a)
 
     return out, _chunk_tasks(n_paths, _chunk_size(draws), work)
@@ -269,12 +310,22 @@ def _coupled_tasks(
     draws = q * nf
 
     def work(a, b):
-        z = normal_block(
-            master_seed, DOMAIN_COUPLED, level, replication, first_path + a, b - a, draws
+        dw = _step_major(
+            normal_block(
+                master_seed, DOMAIN_COUPLED, level, replication, first_path + a, b - a, draws
+            ),
+            math.sqrt(dtf),
+            nf,
         )
-        dw = math.sqrt(dtf) * z.reshape(b - a, nf, q)
         fine[a:b] = _euler_batch(model, dtf, dw, first_path + a)
-        dw_c = dw.reshape(b - a, nc, m, q).sum(axis=2)
+        # Added left to right for any batch.  numpy's sum over the m axis
+        # adds pairwise once m >= 8 if that axis is contiguous, which it is
+        # for a one-path batch with q = 1, so a path's coarse leg would
+        # depend on the batch it is simulated in.
+        blocks = dw.reshape(nc, m, b - a, q)
+        dw_c = blocks[:, 0] + blocks[:, 1]
+        for i in range(2, m):
+            dw_c += blocks[:, i]
         coarse[a:b] = _euler_batch(model, dtc, dw_c, first_path + a)
 
     return (fine, coarse), _chunk_tasks(n_paths, _chunk_size(draws), work)

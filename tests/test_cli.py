@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -11,6 +12,8 @@ from mlmc_euler import cli
 from mlmc_euler.paths import EulerDivergedError
 
 BS_CALL_100 = 10.986396449700798
+# sha256 of the stdout of `estimate --n 64 --seed 0`
+ESTIMATE_N64_SEED0_SHA256 = "18dd45b687be38bb12a2054873f8d4f94fcd7b2b7d212bf45caf5770389101ba"
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +44,18 @@ def test_plan_giles_allocator(capsys):
     payload = json.loads(out[out.index("{") :])
     assert payload["sample_sizes"] == [2560, 1280, 640, 320, 160]
     assert payload["total_cost"] == 17920
+
+
+def test_plan_records_only_its_allocators_parameters(capsys):
+    code, out, _ = run_cli(capsys, "plan", "--n", "16", "--allocator", "giles", "--c2", "7")
+    assert code == 0
+    payload = json.loads(out[out.index("{") :])
+    assert payload["c2"] == 7.0
+    assert "beta0" not in payload and "weights" not in payload
+    code, out, _ = run_cli(capsys, "plan", "--n", "16")
+    payload = json.loads(out[out.index("{") :])
+    assert payload["beta0"] == 1.9 and payload["weights"] == [1.0] * 4
+    assert "c2" not in payload
 
 
 def test_plan_rejects_non_power_with_exit_2(capsys):
@@ -89,6 +104,14 @@ def test_estimate_csv_emits_level_table(capsys):
     assert rows[0] == ["level", "count", "mean", "variance", "third_abs_moment", "cost"]
     assert len(rows) == 5  # header + levels 0..3
     assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
+
+
+def test_estimate_stdout_bytes_are_pinned(capsys):
+    # every simulated number, its layout in memory and the output format
+    # feed these bytes; a change to any of them must re-pin on purpose
+    code, out, _ = run_cli(capsys, "estimate", "--n", "64", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ESTIMATE_N64_SEED0_SHA256
 
 
 def test_estimate_call_requires_strike(capsys):

@@ -72,11 +72,14 @@ def test_transport_equals_scaled_state_for_gbm():
 
 
 def engine_increments(model, steps, paths, seed):
-    """The (dw, db) arrays that ``limit_draws`` feeds its engines, d = q = 1."""
+    """The step-major (dw, db) arrays that ``limit_draws`` feeds its engines, d = q = 1."""
     sqrt_dt = math.sqrt(model.horizon / steps)
     zw = me.normal_block(seed, DOMAIN_LIMIT_W, steps, 0, 0, paths, steps)
     zb = me.normal_block(seed, DOMAIN_LIMIT_B, steps, 0, 0, paths, steps)
-    return sqrt_dt * zw.reshape(paths, steps, 1), sqrt_dt * zb.reshape(paths, steps, 1, 1)
+    return (
+        sqrt_dt * zw.reshape(paths, steps, 1).transpose(1, 0, 2),
+        sqrt_dt * zb.reshape(paths, steps, 1, 1).transpose(1, 0, 2, 3),
+    )
 
 
 def test_generic_engine_matches_scalar_fast_path():
@@ -96,6 +99,14 @@ def test_limit_draws_thread_partition_is_bitwise():
     model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
     x1, u1 = me.limit_draws(model, 64, 901, 0, threads=1)
     x8, u8 = me.limit_draws(model, 64, 901, 0, threads=8)
+    np.testing.assert_array_equal(x1, x8)
+    np.testing.assert_array_equal(u1, u8)
+
+
+def test_split_noise_limit_draws_thread_partition_is_bitwise(split_noise_gbm):
+    # q = 2 runs the general engine, with its q x q dB indexing
+    x1, u1 = me.limit_draws(split_noise_gbm, 32, 901, 0, threads=1)
+    x8, u8 = me.limit_draws(split_noise_gbm, 32, 901, 0, threads=8)
     np.testing.assert_array_equal(x1, x8)
     np.testing.assert_array_equal(u1, u8)
 

@@ -13,6 +13,7 @@ from mlmc_euler.paths import (
     DOMAIN_SINGLE,
     EulerDivergedError,
     _euler_batch,
+    _step_major,
 )
 
 
@@ -112,18 +113,26 @@ def test_normal_block_moments_are_sane():
     assert np.isfinite(z).all()
 
 
+def test_step_major_is_the_scaled_transpose_across_blocks():
+    # 1000 paths of 512 steps span three full 256-path blocks and a short one
+    for n_steps, per_step in ((512, 1), (300, 2), (1, 1)):
+        z = me.normal_block(3, DOMAIN_SINGLE, 0, 0, 0, 1000, n_steps * per_step)
+        expect = 0.25 * z.reshape(1000, n_steps, per_step).transpose(1, 0, 2)
+        np.testing.assert_array_equal(_step_major(z, 0.25, n_steps), expect)
+
+
 # ------------------------------------------------------------- euler
 
 
 def test_euler_terminal_hand_computed_values():
     # two steps of 1 + x dW from x0=1: (1 + 0.5)(1 - 0.25)
     gbm = me.make_gbm(1.0, 0.0, 1.0, 1.0)
-    out = _euler_batch(gbm, 0.5, np.array([[[0.5], [-0.25]]]), 0)
+    out = _euler_batch(gbm, 0.5, np.array([[[0.5]], [[-0.25]]]), 0)
     assert out.shape == (1, 1)
     assert out[0, 0] == 1.125
     # pure drift, four steps of rate 1: (1 + 1/4)**4
     ode = me.make_gbm(1.0, 1.0, 0.0, 1.0)
-    out = _euler_batch(ode, 0.25, np.zeros((1, 4, 1)), 0)
+    out = _euler_batch(ode, 0.25, np.zeros((4, 1, 1)), 0)
     assert out[0, 0] == 2.44140625
 
 
@@ -139,7 +148,7 @@ def test_euler_terminal_shape_validation():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_euler_divergence_reports_step_and_path():
     with pytest.raises(EulerDivergedError) as err:
-        _euler_batch(explosive_model(), 0.5, np.zeros((3, 2, 1)), 5)
+        _euler_batch(explosive_model(), 0.5, np.zeros((2, 3, 1)), 5)
     assert err.value.step_index == 1
     assert err.value.path_index == 5
     assert err.value.level is None
@@ -194,20 +203,54 @@ def test_coupled_terminals_thread_partition_is_bitwise():
     np.testing.assert_array_equal(c1, c8)
 
 
-def test_coupling_consumes_block_sums_of_fine_increments():
-    """Reconstruct both legs from the documented stream layout, bitwise."""
-    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    level, m, paths = 3, 2, 16
+def assert_coupling_reconstructs(model, level, m, paths):
+    """Rebuild both legs from ``normal_block``'s path-major rows, bitwise.
+
+    Row p holds path p's increments step by step, q per step; the kernel
+    takes them step-major, and the coarse leg the sums of m fine steps.
+    """
+    q = model.dim_noise
     nf, nc = m**level, m ** (level - 1)
     dtf = model.horizon / nf
     fine, coarse = me.coupled_terminals(model, level, m, paths, 7, replication=3)
-    z = me.normal_block(7, DOMAIN_COUPLED, level, 3, 0, paths, nf)
-    dw = math.sqrt(dtf) * z.reshape(paths, nf, 1)
-    dw_coarse = dw.reshape(paths, nc, m, 1).sum(axis=2)
+    z = me.normal_block(7, DOMAIN_COUPLED, level, 3, 0, paths, q * nf)
+    dw = math.sqrt(dtf) * z.reshape(paths, nf, q).transpose(1, 0, 2)
+    dw_coarse = dw.reshape(nc, m, paths, q).sum(axis=1)
     np.testing.assert_array_equal(_euler_batch(model, dtf, dw, 0), fine)
     np.testing.assert_array_equal(
         _euler_batch(model, model.horizon / nc, dw_coarse, 0), coarse
     )
+
+
+def test_coupling_consumes_block_sums_of_fine_increments():
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    for m in (2, 3, 4, 7):
+        assert_coupling_reconstructs(model, 3, m, 16)
+
+
+def test_split_noise_coupling_consumes_block_sums(split_noise_gbm):
+    # q = 2: each step reads two consecutive draws of the path's row
+    for level, m in ((1, 2), (3, 2), (2, 3)):
+        assert_coupling_reconstructs(split_noise_gbm, level, m, 16)
+
+
+def test_split_noise_weak_mean_is_exact_binomial(split_noise_gbm):
+    # the drift alone sets E X^n = x0 (1 + mu T / n)^n, whatever the noise
+    n = 8
+    terms = me.single_terminals(split_noise_gbm, n, 100_000, 0, threads=2)
+    expect = (1.0 + 0.05 / n) ** n
+    se = terms.std(ddof=1) / math.sqrt(terms.shape[0])
+    assert abs(terms.mean() - expect) < 5.0 * se
+
+
+def test_block_sums_do_not_depend_on_the_batch():
+    # m >= 8 is where numpy's own sum picks its order by array shape
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    fine, coarse = me.coupled_terminals(model, 2, 9, 3, 5)
+    for p in range(3):
+        f, c = me.coupled_terminals(model, 2, 9, 1, 5, first_path=p)
+        np.testing.assert_array_equal(f[0], fine[p])
+        np.testing.assert_array_equal(c[0], coarse[p])
 
 
 def test_coupled_fine_and_coarse_stay_close():
