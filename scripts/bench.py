@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Record a perf point of this checkout as ``BENCH_<label>.json``.
 
-    python3 scripts/bench.py --label NAME [--runs K] [--seconds S] [--seed N] [--tier1 0|1]
+    python3 scripts/bench.py --label NAME [--seed N]
 
-Runs ``perfbench/run.py --trace 0`` K times on every workload that
-``BENCHMARK.json`` lists, with seeds N .. N+K-1.  The runs go round-robin
-over the workloads, so a slow stretch of a shared host falls on all of
-them rather than on one.  Then, with ``--tier1 1``, it runs the Tier-1
-suite once with ``--durations``.  The file, written at the root of the
-checkout, holds:
+Runs ``perfbench/run.py --trace 0`` five times on every workload that
+``BENCHMARK.json`` lists, for that file's ``run_seconds``, with seeds
+N .. N+4.  The runs go round-robin over the workloads, so a slow stretch
+of a shared host falls on all of them rather than on one.  Then it runs
+the Tier-1 suite once with ``--durations``.  The file, written at the
+root of the checkout, holds:
 
 * the machine: nproc and the python, numpy and scipy versions;
 * per workload and end-to-end metric: median, quartiles and every run;
@@ -33,14 +33,8 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUNS = 5
 DURATIONS = 10
-
-
-def _quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
 
 
 def _perfbench(workload: str, seed: int, seconds: float) -> tuple:
@@ -83,13 +77,8 @@ def _tier1() -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="file name is BENCH_<label>.json")
-    parser.add_argument("--runs", type=int, default=5, help="runs per workload")
-    parser.add_argument("--seconds", type=float, default=18.0, help="perfbench --seconds")
     parser.add_argument("--seed", type=int, default=0, help="seed of the first run")
-    parser.add_argument("--tier1", type=int, choices=(0, 1), default=1)
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
     if not re.fullmatch(r"[\w.-]+", args.label):
         parser.error("--label may hold only letters, digits, '_', '.' and '-'")
 
@@ -100,14 +89,15 @@ def main() -> int:
         bench = json.load(handle)
     names = [w["name"] for w in bench["workloads"]]
     metric_names = [m["name"] for m in bench["end_to_end"]]
+    seconds = bench["run_seconds"]
 
     runs = {name: [] for name in names}
     fingerprints = set()
     commit = None
-    for i in range(args.runs):
+    for i in range(RUNS):
         seed = args.seed + i
         for name in names:
-            record, result = _perfbench(name, seed, args.seconds)
+            record, result = _perfbench(name, seed, seconds)
             fingerprints.add(record["fingerprint_estimate_n64_seed0"])
             commit = record["provenance"]["commit"]
             runs[name].append({
@@ -126,7 +116,7 @@ def main() -> int:
         metrics = {}
         for metric in metric_names:
             values = [r["metrics"][metric] for r in done]
-            q1, median, q3 = _quartiles(values)
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             metrics[metric] = {"median": median, "q1": q1, "q3": q3, "runs": values}
         workloads[name] = {
             "seeds": [r["seed"] for r in done],
@@ -145,10 +135,10 @@ def main() -> int:
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
         },
-        "perfbench": {"seconds": args.seconds, "runs_per_workload": args.runs, "trace": 0},
+        "perfbench": {"seconds": seconds, "runs_per_workload": RUNS, "trace": 0},
         "fingerprint": sorted(fingerprints)[0] if len(fingerprints) == 1 else sorted(fingerprints),
         "workloads": workloads,
-        "tier1": _tier1() if args.tier1 else None,
+        "tier1": _tier1(),
     }
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w", encoding="utf-8") as handle:

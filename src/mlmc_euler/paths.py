@@ -115,9 +115,8 @@ def normal_block(
     # advance() moves the counter in four-word blocks.
     bg.advance(first_path * pad // 4)
     u = np.random.Generator(bg).random(n_paths * pad).reshape(n_paths, pad)
-    if pad != draws_per_path:
-        return ndtri(u[:, :draws_per_path] + _HALF_ULP)
-    # no padding to drop: transform the uniforms in place
+    # transform in place; with padding the rows are a strided view
+    u = u[:, :draws_per_path]
     u += _HALF_ULP
     return ndtri(u, out=u)
 
@@ -143,15 +142,12 @@ def _step_major(z: np.ndarray, scale: float, n_steps: int) -> np.ndarray:
     return out
 
 
-def _euler_step(
-    model, x: np.ndarray, dt: float, dw: np.ndarray, diff: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _euler_step(model, x: np.ndarray, dt: float, dw: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """One Euler step x + b(x) dt + s(x) dW for states (n, d) and increments (n, q).
 
-    ``diff`` is s(x), shape (n, d, q), when the caller has evaluated it already.
+    ``diff`` is s(x), shape (n, d, q); the limit law evaluates it once per
+    step for its transport as well.
     """
-    if diff is None:
-        diff = model.diffusion(x)
     return x + model.drift(x) * dt + np.einsum("nij,nj->ni", diff, dw)
 
 
@@ -171,13 +167,13 @@ def _euler_batch(
     steps, n, _ = dw.shape
     x = np.broadcast_to(model.initial, (n, model.dim_state)).copy()
     for k in range(steps):
-        x = _euler_step(model, x, dt, dw[k])
+        x = _euler_step(model, x, dt, dw[k], model.diffusion(x))
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         row = int(bad[0])
         x = model.initial[None, :].copy()
         for k in range(steps):
-            x = _euler_step(model, x, dt, dw[k, row : row + 1])
+            x = _euler_step(model, x, dt, dw[k, row : row + 1], model.diffusion(x))
             if not np.isfinite(x).all():
                 break
         raise EulerDivergedError(step_index=k, path_index=first_path + row)
