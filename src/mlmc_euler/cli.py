@@ -32,6 +32,7 @@ import numpy as np
 
 from .diagnostics import (
     DegenerateStatisticsError,
+    _replicate,
     berry_esseen,
     bracket_expectation_check,
     coverage_experiment,
@@ -366,19 +367,10 @@ def _verify_berry_esseen(args) -> Tuple[dict, str]:
     plans = [_plan_from_args(args, n) for n in _parse_int_list(args.n_list, "--n-list")]
     rows = []
     for idx, plan in enumerate(plans):
-        n = plan.n
-        report = estimate(
-            model,
-            payoff,
-            plan,
-            args.seed,
-            replication=idx,
-            threads=_threads(args),
-            bias_pilot=0,
-        )
+        (report,) = _replicate(model, payoff, plan, args.seed, 1, _threads(args), first=idx)
         bound = berry_esseen(report.level_stats, plan)
-        _log(args, "n=%d: bound=%r" % (n, bound.bound))
-        rows.append((n, bound.s_squared, bound.rho, bound.bound))
+        _log(args, "n=%d: bound=%r" % (plan.n, bound.bound))
+        rows.append((plan.n, bound.s_squared, bound.rho, bound.bound))
     slope = None
     if len(rows) >= 2:
         loglog_n = np.log(np.log([row[0] for row in rows]))
@@ -457,28 +449,20 @@ def _cmd_benchmark(args) -> int:
     for method in methods:
         for idx, n in enumerate(n_list):
             target_rmse = n**-args.alpha
-            estimates = np.empty(reps)
             if method == "mlmc":
-                plan = plans[n]
-                cost_units = complexity(plan)
+                cost_units = complexity(plans[n])
                 start = time.perf_counter()
-                for rep in range(reps):
-                    report = estimate(
-                        model,
-                        payoff,
-                        plan,
-                        args.seed,
-                        replication=idx * reps + rep,
-                        threads=threads,
-                        bias_pilot=0,
-                    )
-                    estimates[rep] = report.estimate
+                reports = _replicate(
+                    model, payoff, plans[n], args.seed, reps, threads, first=idx * reps
+                )
                 wall = time.perf_counter() - start
+                estimates = np.array([report.estimate for report in reports])
             else:
                 # classical single-resolution baseline: N = n**(2 alpha)
                 # samples of the n-step scheme, cost N * n sub-steps
                 samples = max(2, round(n ** (2.0 * args.alpha)))
                 cost_units = samples * n
+                estimates = np.empty(reps)
                 start = time.perf_counter()
                 for rep in range(reps):
                     terminals = single_terminals(

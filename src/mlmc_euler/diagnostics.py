@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .estimator import LevelStats, MlmcPlan, estimate
+from .estimator import EstimateReport, LevelStats, MlmcPlan, estimate
 from .models import Payoff, SdeModel
 from .paths import DOMAIN_BRACKET, _chunk_size, _chunk_tasks, _run_tasks, normal_block
 
@@ -170,6 +170,29 @@ def bracket_expectation_check(
     return float(np.mean(values)), target
 
 
+def _replicate(
+    model: SdeModel,
+    payoff: Payoff,
+    plan: MlmcPlan,
+    master_seed: int,
+    replications: int,
+    threads: int,
+    first: int = 0,
+) -> List[EstimateReport]:
+    """Reports of ``estimate`` for replication keys first .. first + replications - 1.
+
+    Every replicated experiment runs the estimator through here.  Each
+    replication runs the full plan on its own key subtree and skips the
+    bias pilot, which is a single-run diagnostic.  ``estimate`` is looked
+    up in this module on each call, so the benchmark's trace mode, which
+    rebinds ``diagnostics.estimate``, times every replication.
+    """
+    return [
+        estimate(model, payoff, plan, master_seed, replication=rep, threads=threads, bias_pilot=0)
+        for rep in range(first, first + replications)
+    ]
+
+
 @dataclass(frozen=True)
 class CltExperiment:
     """Replicated estimator errors scaled by n**alpha.
@@ -200,50 +223,32 @@ def run_clt_experiment(
 ) -> CltExperiment:
     """Replicate the estimator and KS-test its scaled error law.
 
-    Each replication runs the full plan on its own key subtree; the
-    errors n**alpha (Q - true_value) are compared against a normal law
-    with mean equal to the sample mean and variance ``sigma2`` (the
-    externally estimated limit variance) or, when that is not supplied,
-    the sample variance.
+    The replications' errors n**alpha (Q - true_value) are compared
+    against a normal law with mean equal to the sample mean and variance
+    ``sigma2`` (the externally estimated limit variance) or, when that is
+    not supplied, the sample variance.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
     scale = plan.n**plan.alpha
-    errors = np.empty(replications)
-    for rep in range(replications):
-        report = estimate(
-            model,
-            payoff,
-            plan,
-            master_seed,
-            replication=rep,
-            threads=threads,
-            bias_pilot=0,
-        )
-        errors[rep] = scale * (report.estimate - true_value)
+    reports = _replicate(model, payoff, plan, master_seed, replications, threads)
+    errors = np.array([scale * (report.estimate - true_value) for report in reports])
     mean = float(np.mean(errors))
     variance = float(np.var(errors, ddof=1))
-    if variance == 0.0:
-        return CltExperiment(
-            replications=replications,
-            standardized_errors=errors,
-            sample_mean=mean,
-            sample_variance=variance,
-            ks_statistic=0.0,
-            degenerate=True,
-            plan=plan,
-        )
-    null_sd = math.sqrt(sigma2) if sigma2 is not None else math.sqrt(variance)
-    if null_sd <= 0.0:
-        raise ValueError("sigma2 must be positive when supplied")
-    ks = ks_statistic_one_sample(errors, lambda x: ndtr((x - mean) / null_sd))
+    degenerate = variance == 0.0
+    ks = 0.0
+    if not degenerate:
+        null_sd = math.sqrt(sigma2) if sigma2 is not None else math.sqrt(variance)
+        if null_sd <= 0.0:
+            raise ValueError("sigma2 must be positive when supplied")
+        ks = ks_statistic_one_sample(errors, lambda x: ndtr((x - mean) / null_sd))
     return CltExperiment(
         replications=replications,
         standardized_errors=errors,
         sample_mean=mean,
         sample_variance=variance,
         ks_statistic=ks,
-        degenerate=False,
+        degenerate=degenerate,
         plan=plan,
     )
 
@@ -321,16 +326,7 @@ def coverage_experiment(
     methods = ("clt", "chebyshev")
     hits = {method: 0 for method in methods}
     radius_sum = {method: 0.0 for method in methods}
-    for rep in range(replications):
-        report = estimate(
-            model,
-            payoff,
-            plan,
-            master_seed,
-            replication=rep,
-            threads=threads,
-            bias_pilot=0,
-        )
+    for report in _replicate(model, payoff, plan, master_seed, replications, threads):
         for method in methods:
             lo, hi = confidence_interval(
                 report.estimate, report.standard_error, confidence, method

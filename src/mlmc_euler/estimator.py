@@ -298,7 +298,8 @@ def _level_statistics(values: np.ndarray, level: int, cost_per_path: int) -> Lev
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))
     # computed in place: at level 0 each temporary is as large as the level
-    centered = np.abs(values - mean)
+    centered = values - mean
+    np.abs(centered, out=centered)
     third = float(np.mean(np.power(centered, 3, out=centered)))
     return LevelStats(
         level=level,

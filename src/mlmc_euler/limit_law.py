@@ -249,6 +249,7 @@ def estimate_limit_variance(
                 config.master_seed,
                 replication=config.replication,
                 first_path=fresh,
+                threads=config.threads,
             )
             fresh += bad.size
             x[bad] = xr

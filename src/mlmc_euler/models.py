@@ -95,13 +95,11 @@ class AnalyticReference:
 
     ``exact_expectation`` is E f(X_T).  ``exact_limit_variance`` is the
     variance of the normal limit of the scaled two-level error, when a
-    closed form is known.  ``weak_error_constant`` is the signed
-    coefficient c in E f(X^n_T) - E f(X_T) = c/n + O(1/n^2), when known.
+    closed form is known.
     """
 
     exact_expectation: Optional[float] = None
     exact_limit_variance: Optional[float] = None
-    weak_error_constant: Optional[float] = None
 
 
 def make_gbm(x0: float, mu: float, vol: float, horizon: float) -> SdeModel:
@@ -178,19 +176,13 @@ def gbm_identity_reference(x0: float, mu: float, vol: float, horizon: float) -> 
     error is vol^4 T / 2 * x0^2 exp((2 mu + vol^2) T): the first-variation
     process of GBM is X_t / x0, so the limit process collapses to
     vol^2 / sqrt(2) * X_T * B_T with B an independent Brownian motion,
-    whose variance at T is the stated product.  The weak-error
-    coefficient follows from E X^n_T = x0 (1 + mu T / n)^n exactly.
+    whose variance at T is the stated product.
     """
     if not x0 > 0.0 or not horizon > 0.0 or vol < 0.0:
         raise ValueError("invalid GBM parameters")
     mean = x0 * math.exp(mu * horizon)
     limit_var = 0.5 * vol**4 * horizon * x0**2 * math.exp((2.0 * mu + vol**2) * horizon)
-    weak_c = -mean * (mu * horizon) ** 2 / 2.0
-    return AnalyticReference(
-        exact_expectation=mean,
-        exact_limit_variance=limit_var,
-        weak_error_constant=weak_c,
-    )
+    return AnalyticReference(exact_expectation=mean, exact_limit_variance=limit_var)
 
 
 def black_scholes_call_reference(

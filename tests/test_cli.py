@@ -14,6 +14,19 @@ from mlmc_euler.paths import EulerDivergedError
 BS_CALL_100 = 10.986396449700798
 # sha256 of the stdout of `estimate --n 64 --seed 0`
 ESTIMATE_N64_SEED0_SHA256 = "18dd45b687be38bb12a2054873f8d4f94fcd7b2b7d212bf45caf5770389101ba"
+# sha256 of the stdout of each replicated experiment at `--seed 0 --threads 2`;
+# they pin the replication keys and streams
+REPLICATED_VERIFY_SHA256 = {
+    "verify clt --n 16 --replications 20": (
+        "49839d6f62a4b095468a70f533c7a7ba46ad63ece652d56ce6be7e54ac203b2c"
+    ),
+    "verify coverage --n 16 --replications 20": (
+        "79da66d614c8f9d006f5a67baeaa014f8dbc8799796ac680722cd21ddd4802e2"
+    ),
+    "verify berry-esseen --n-list 16,32": (
+        "77e7d703c82dca31cc88b7a85a74ddf6848331d957cb0af2fe580032539e8dc0"
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -298,6 +311,14 @@ def test_verify_two_level_law_small(capsys):
     )
 
 
+@pytest.mark.parametrize("command", sorted(REPLICATED_VERIFY_SHA256))
+def test_replicated_verify_stdout_bytes_are_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split(), "--seed", "0", "--threads", "2")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == REPLICATED_VERIFY_SHA256[command]
+
+
 # ------------------------------------------------------------ benchmark
 
 
@@ -321,6 +342,16 @@ def test_benchmark_costs_match_library_accounting(capsys):
             assert int(row["cost_units"]) == me.complexity(me.plan_bak(n, 2, 1.0))
         else:
             assert int(row["cost_units"]) == n**2 * n
+
+
+def test_benchmark_mlmc_rows_are_pinned(capsys):
+    # the wall time is not deterministic; the rest of each row is
+    code, out, _ = run_cli(
+        capsys, *"benchmark --n-list 16,32 --replications 3 --methods mlmc --format json".split()
+    )
+    assert code == 0
+    rows = [(r["n"], r["achieved_rmse"], r["cost_units"]) for r in json.loads(out)]
+    assert rows == [(16, 0.0573512472482746, 7922), (32, 0.025291757048941373, 49263)]
 
 
 def test_benchmark_rejects_weights(capsys):

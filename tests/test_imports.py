@@ -70,3 +70,33 @@ def test_every_public_name_has_a_caller():
             referenced.update(referenced_names(ast.parse(handle.read(), filename=path)))
     uncalled = sorted(set(mlmc_euler.__all__) - referenced - NO_CALLER_NEEDED)
     assert uncalled == []
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def calls_by_function(node, function=None, in_loop=False):
+    """(enclosing function name, inside a loop, call) for every call in ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function, in_loop = node.name, False
+    in_loop = in_loop or isinstance(node, LOOPS)
+    if isinstance(node, ast.Call):
+        yield function, in_loop, node
+    for child in ast.iter_child_nodes(node):
+        yield from calls_by_function(child, function, in_loop)
+
+
+def test_only_the_replication_runner_replicates_estimate():
+    # replications skip the bias pilot and take consecutive keys; that rule
+    # is stated once, in diagnostics._replicate, the one loop over estimate
+    sites = set()
+    for path in modules((PACKAGE_DIR,)):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for function, in_loop, call in calls_by_function(tree):
+            pilot = {kw.arg: kw.value for kw in call.keywords}.get("bias_pilot")
+            skips_pilot = isinstance(pilot, ast.Constant) and pilot.value == 0
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if skips_pilot or (in_loop and callee == "estimate"):
+                sites.add((os.path.basename(path), function))
+    assert sites == {("diagnostics.py", "_replicate")}

@@ -172,6 +172,23 @@ def test_kink_guard_redraws_near_strike():
     assert sigma2 > 0.0
 
 
+def test_kink_redraws_run_on_the_configured_threads(monkeypatch):
+    calls = []
+    plain = limit_law.limit_draws
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("threads"))
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(limit_law, "limit_draws", recording)
+    # widen the guard band so the redraw path actually triggers
+    monkeypatch.setattr(limit_law, "_KINK_TOL", 0.02)
+    cfg = me.LimitSimConfig(samples=500, master_seed=0, n_steps=16, threads=2)
+    me.estimate_limit_variance(me.make_gbm(1.0, 0.05, 0.2, 1.0), me.call_payoff(1.0), cfg)
+    assert len(calls) >= 2
+    assert calls == [2] * len(calls)
+
+
 def test_kink_on_an_atom_of_the_terminal_law_raises():
     # zero volatility pins X_T at the strike: no redraw can escape
     model = me.make_gbm(1.0, 0.0, 0.0, 1.0)
