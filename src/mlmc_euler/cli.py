@@ -300,6 +300,8 @@ def _verify_bracket(args) -> Tuple[dict, str]:
 
 
 def _verify_clt(args) -> Tuple[dict, str]:
+    if args.sigma2 is not None and not 0.0 < args.sigma2 < math.inf:
+        raise UsageError("--sigma2 must be finite and > 0")
     model, payoff, reference = _model_payoff(args)
     plan = _plan_from_args(args)
     truth = _truth_value(args, reference)

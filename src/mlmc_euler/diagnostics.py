@@ -230,6 +230,8 @@ def run_clt_experiment(
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
+    if sigma2 is not None and not 0.0 < sigma2 < math.inf:
+        raise ValueError("sigma2 must be finite and > 0 when supplied")
     scale = plan.n**plan.alpha
     reports = _replicate(model, payoff, plan, master_seed, replications, threads)
     errors = np.array([scale * (report.estimate - true_value) for report in reports])
@@ -238,9 +240,7 @@ def run_clt_experiment(
     degenerate = variance == 0.0
     ks = 0.0
     if not degenerate:
-        null_sd = math.sqrt(sigma2) if sigma2 is not None else math.sqrt(variance)
-        if null_sd <= 0.0:
-            raise ValueError("sigma2 must be positive when supplied")
+        null_sd = math.sqrt(variance if sigma2 is None else sigma2)
         ks = ks_statistic_one_sample(errors, lambda x: ndtr((x - mean) / null_sd))
     return CltExperiment(
         replications=replications,

@@ -7,10 +7,12 @@ consumes depend only on its key, never on batch boundaries, worker
 count, or evaluation order.  Gaussian increments are produced by the
 inverse CDF applied to 53-bit uniforms offset to the midpoint of their
 lattice cell (one uint64 per variate), which keeps the per-path draw
-budget fixed and makes counter jumps exact.  Each path's draw budget is
-padded to a multiple of four because the underlying generator advances
-in four-word blocks.  Master seeds must lie in [0, 2**64); anything
-else is rejected rather than wrapped onto another seed's stream.
+budget fixed and makes counter jumps exact.  Path p of a d-draw budget
+owns words [p * d, (p + 1) * d) of its stream, with no padding.  The
+generator advances in four-word blocks, so a call jumps to the block
+that holds its first word and drops the words of that block that belong
+to earlier paths.  Master seeds must lie in [0, 2**64); anything else is
+rejected rather than wrapped onto another seed's stream.
 
 Layout contract: ``normal_block`` returns path-major rows, one row per
 path, so the stream stays addressed per path.  Every Euler kernel takes
@@ -91,10 +93,6 @@ def _philox(master_seed: int, domain: int, slot: int, replication: int) -> np.ra
     return np.random.Philox(seq)
 
 
-def _padded(draws_per_path: int) -> int:
-    return 4 * ((draws_per_path + 3) // 4)
-
-
 def normal_block(
     master_seed: int,
     domain: int,
@@ -106,19 +104,21 @@ def normal_block(
 ) -> np.ndarray:
     """Standard normals for paths [first_path, first_path + n_paths).
 
-    Returns shape (n_paths, draws_per_path).  Path p always occupies the
-    counter range [p * padded, (p + 1) * padded) of its stream, so any
-    partition of a path range yields bit-identical numbers.
+    Returns a C-contiguous array of shape (n_paths, draws_per_path).
+    Path p always reads words [p * draws_per_path, (p + 1) *
+    draws_per_path) of its stream, so any partition of a path range
+    yields bit-identical numbers; only the four-word blocks that hold
+    these words are generated.
     """
-    pad = _padded(draws_per_path)
+    first_word = first_path * draws_per_path
     bg = _philox(master_seed, domain, slot, replication)
-    # advance() moves the counter in four-word blocks.
-    bg.advance(first_path * pad // 4)
-    u = np.random.Generator(bg).random(n_paths * pad).reshape(n_paths, pad)
-    # transform in place; with padding the rows are a strided view
-    u = u[:, :draws_per_path]
+    # advance() moves the counter in four-word blocks; the words of the
+    # first block that precede first_word are drawn and dropped
+    bg.advance(first_word // 4)
+    bg.random_raw(first_word % 4)
+    u = np.random.Generator(bg).random(n_paths * draws_per_path)
     u += _HALF_ULP
-    return ndtri(u, out=u)
+    return ndtri(u, out=u).reshape(n_paths, draws_per_path)
 
 
 # Paths per block of ``_step_major``: at least 256, and about 2**16
@@ -143,10 +143,11 @@ def _step_major(z: np.ndarray, scale: float, n_steps: int) -> np.ndarray:
 
 
 def _euler_step(model, x: np.ndarray, dt: float, dw: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """One Euler step x + b(x) dt + s(x) dW for states (n, d) and increments (n, q).
+    """One Euler step x + b(x) dt + s(x) dW for increments (n, q).
 
-    ``diff`` is s(x), shape (n, d, q); the limit law evaluates it once per
-    step for its transport as well.
+    States are (n, d), or (1, d) for a start that all n paths share.
+    ``diff`` is s(x), shape (n, d, q) or (1, d, q); the limit law
+    evaluates it once per step for its transport as well.
     """
     return x + model.drift(x) * dt + np.einsum("nij,nj->ni", diff, dw)
 
@@ -165,13 +166,15 @@ def _euler_batch(
     such path is then re-run alone to report its first non-finite step.
     """
     steps, n, _ = dw.shape
-    x = np.broadcast_to(model.initial, (n, model.dim_state)).copy()
+    # every path starts from the same state, so the first step evaluates
+    # the coefficients on one row and broadcasts them over the batch
+    x = model.initial[None, :]
     for k in range(steps):
         x = _euler_step(model, x, dt, dw[k], model.diffusion(x))
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         row = int(bad[0])
-        x = model.initial[None, :].copy()
+        x = model.initial[None, :]
         for k in range(steps):
             x = _euler_step(model, x, dt, dw[k, row : row + 1], model.diffusion(x))
             if not np.isfinite(x).all():

@@ -13,18 +13,18 @@ from mlmc_euler.paths import EulerDivergedError
 
 BS_CALL_100 = 10.986396449700798
 # sha256 of the stdout of `estimate --n 64 --seed 0`
-ESTIMATE_N64_SEED0_SHA256 = "18dd45b687be38bb12a2054873f8d4f94fcd7b2b7d212bf45caf5770389101ba"
+ESTIMATE_N64_SEED0_SHA256 = "dec761fcecaeb20e71f13bbc204417ae0c23ff58eb1611d301c4b7b4af98f441"
 # sha256 of the stdout of each replicated experiment at `--seed 0 --threads 2`;
 # they pin the replication keys and streams
 REPLICATED_VERIFY_SHA256 = {
     "verify clt --n 16 --replications 20": (
-        "49839d6f62a4b095468a70f533c7a7ba46ad63ece652d56ce6be7e54ac203b2c"
+        "ad33343d5bc64cba7735ed5847eaa06082ab63973679bc9e90b2a536b20ad12c"
     ),
     "verify coverage --n 16 --replications 20": (
-        "79da66d614c8f9d006f5a67baeaa014f8dbc8799796ac680722cd21ddd4802e2"
+        "e5c7c22900836d368c6f859f62972ee43d044d5332002af406a3d6dc20bd51b3"
     ),
     "verify berry-esseen --n-list 16,32": (
-        "77e7d703c82dca31cc88b7a85a74ddf6848331d957cb0af2fe580032539e8dc0"
+        "88bb8a7a9a3bc094fd98bba2580eecd3299a544bb51fbc33d940e574fcc2f7e4"
     ),
 }
 
@@ -251,6 +251,15 @@ def test_verify_clt_writes_csv_artifact(capsys, tmp_path):
     assert len(rows) == 13
 
 
+def test_verify_clt_rejects_bad_sigma2_as_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, *"verify clt --n 4 --replications 500 --sigma2 -1".split()
+    )
+    assert code == 2
+    assert out == ""
+    assert "--sigma2" in err
+
+
 def test_verify_unknown_experiment_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "nope")
     assert code == 2
@@ -351,7 +360,7 @@ def test_benchmark_mlmc_rows_are_pinned(capsys):
     )
     assert code == 0
     rows = [(r["n"], r["achieved_rmse"], r["cost_units"]) for r in json.loads(out)]
-    assert rows == [(16, 0.0573512472482746, 7922), (32, 0.025291757048941373, 49263)]
+    assert rows == [(16, 0.0584661755051104, 7922), (32, 0.027832278289258952, 49263)]
 
 
 def test_benchmark_rejects_weights(capsys):

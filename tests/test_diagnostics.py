@@ -156,6 +156,18 @@ def test_run_clt_experiment_stochastic_run_is_roughly_gaussian():
     assert exp.sample_variance > 0.0
 
 
+@pytest.mark.parametrize("sigma2", [-1.0, 0.0, math.nan])
+def test_run_clt_experiment_rejects_bad_sigma2_before_replicating(monkeypatch, sigma2):
+    calls = []
+    monkeypatch.setattr(me.diagnostics, "estimate", lambda *a, **k: calls.append(a))
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    with pytest.raises(ValueError, match="sigma2"):
+        me.run_clt_experiment(
+            model, me.identity_payoff(), me.plan_bak(4, 2, 1.0), 500, 1.0, 0, sigma2=sigma2
+        )
+    assert calls == []
+
+
 def test_berry_esseen_hand_value_on_synthetic_stats():
     plan = me.plan_bak(16, 2, 1.0)
     stats = [

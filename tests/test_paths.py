@@ -1,5 +1,6 @@
 """Path engine: keyed streams, the Euler kernel, couplings."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlmc_euler as me
+from mlmc_euler import paths
 from mlmc_euler.paths import (
     DOMAIN_COUPLED,
     DOMAIN_SINGLE,
@@ -15,6 +17,15 @@ from mlmc_euler.paths import (
     _euler_batch,
     _step_major,
 )
+
+# sha256 of normal_block(0, DOMAIN_SINGLE, 0, 0, 3, 5, d).tobytes() for
+# d = 8 and 512.  A budget that is a multiple of four words starts every
+# path on a Philox block boundary; the crude n = 512 paths and the limit
+# law's 2 * 1024 draws are such budgets, and these digests pin their layout
+BLOCK_ALIGNED_SHA256 = {
+    8: "f1befeb42d158bc234600522ecf0560daab3728c1b9bc112f094b386e710fea2",
+    512: "60ebf66dded65541f0a8ce7ab14a26612afc3a74d7df7c68f90c195e7eb34460",
+}
 
 
 def explosive_model():
@@ -90,6 +101,52 @@ def test_normal_block_partition_is_bit_identical(n_paths, split, draws):
     np.testing.assert_array_equal(np.vstack([head, tail]), whole)
 
 
+@pytest.mark.parametrize("draws", [1, 2, 3, 5, 6, 7])
+def test_paths_own_consecutive_word_ranges(draws):
+    # path p reads words [p * d, (p + 1) * d) of one stream: any block
+    # equals the matching run of words drawn as a single long path
+    n = 9
+    z = me.normal_block(5, DOMAIN_SINGLE, 2, 1, 0, n, draws)
+    one = me.normal_block(5, DOMAIN_SINGLE, 2, 1, 0, 1, n * draws)
+    np.testing.assert_array_equal(z.ravel(), one.ravel())
+    for first in (1, 2, 3, 5):
+        tail = me.normal_block(5, DOMAIN_SINGLE, 2, 1, first, n - first, draws)
+        assert tail.shape == (n - first, draws) and tail.flags.c_contiguous
+        np.testing.assert_array_equal(tail.ravel(), one[0, first * draws :])
+
+
+def _counter(bit_generator):
+    words = bit_generator.state["state"]["counter"]
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+@pytest.mark.parametrize(
+    "first, n, draws", [(0, 4, 1), (3, 5, 1), (7, 3, 3), (5, 2, 6), (2, 0, 3), (1, 1, 8)]
+)
+def test_normal_block_generates_only_the_blocks_it_reads(monkeypatch, first, n, draws):
+    # after the jump to block floor(p d / 4), a call reads the blocks that
+    # hold its first word's offset in that block plus its n d words
+    made = []
+    plain = paths._philox
+
+    def keep(*args):
+        bg = plain(*args)
+        made.append((bg, _counter(bg)))
+        return bg
+
+    monkeypatch.setattr(paths, "_philox", keep)
+    me.normal_block(0, DOMAIN_SINGLE, 0, 0, first, n, draws)
+    (bg, start), = made
+    skip, offset = divmod(first * draws, 4)
+    assert _counter(bg) - start == skip + -(-(offset + n * draws) // 4)
+
+
+@pytest.mark.parametrize("draws", sorted(BLOCK_ALIGNED_SHA256))
+def test_block_aligned_budgets_keep_their_stream(draws):
+    z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 3, 5, draws)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == BLOCK_ALIGNED_SHA256[draws]
+
+
 def test_master_seed_outside_64_bits_is_rejected():
     # a masked seed would alias: -1 onto 2**64 - 1 and 2**64 onto 0
     model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
@@ -153,6 +210,60 @@ def test_euler_divergence_reports_step_and_path():
     assert err.value.path_index == 5
     assert err.value.level is None
     assert "step 1" in str(err.value)
+    # the same (path, step) as the per-row recursion gives
+    row, step = reference_divergence(explosive_model(), 0.5, np.zeros((2, 3, 1)))
+    assert (err.value.path_index, err.value.step_index) == (5 + row, step)
+
+
+def reference_euler(model, dt, dw):
+    """The Euler recursion with per-row coefficients from the first step on."""
+    x = np.broadcast_to(model.initial, (dw.shape[1], model.dim_state)).copy()
+    for k in range(dw.shape[0]):
+        x = x + model.drift(x) * dt + np.einsum("nij,nj->ni", model.diffusion(x), dw[k])
+    return x
+
+
+def reference_divergence(model, dt, dw):
+    """(row, step): the first row non-finite at the end, and its first non-finite step."""
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(reference_euler(model, dt, dw)).all(axis=1)
+        row = int(np.flatnonzero(bad)[0])
+        for step in range(dw.shape[0]):
+            if not np.isfinite(reference_euler(model, dt, dw[: step + 1, row : row + 1])).all():
+                return row, step
+
+
+def linear_2d_model():
+    """d = q = 2: dX = A X dt + (S + diag(X) C) dW, every coefficient mixing."""
+    a = np.array([[0.05, -0.3], [0.2, -0.1]])
+    s = np.array([[0.1, 0.02], [-0.03, 0.15]])
+    c = np.array([[0.2, 0.05], [0.1, 0.25]])
+    return me.SdeModel(
+        dim_state=2,
+        dim_noise=2,
+        initial=np.array([1.0, -0.5]),
+        horizon=1.0,
+        drift=lambda x: x @ a.T,
+        diffusion=lambda x: s + x[..., :, None] * c,
+        drift_jacobian=lambda x: np.broadcast_to(a, x.shape[:-1] + (2, 2)),
+        diffusion_jacobians=tuple(
+            (lambda x, j=j: np.broadcast_to(np.diag(c[:, j]), x.shape[:-1] + (2, 2)))
+            for j in range(2)
+        ),
+    )
+
+
+def test_euler_batch_matches_per_row_reference(split_noise_gbm):
+    # the shared start evaluates the coefficients once; bitwise the same
+    gbm = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    for model, n_steps in ((gbm, 1), (gbm, 7), (split_noise_gbm, 5), (linear_2d_model(), 6)):
+        q = model.dim_noise
+        dt = model.horizon / n_steps
+        z = me.normal_block(11, DOMAIN_SINGLE, 0, 0, 0, 300, q * n_steps)
+        dw = _step_major(z, math.sqrt(dt), n_steps)
+        out = _euler_batch(model, dt, dw, 0)
+        assert out.shape == (300, model.dim_state)
+        np.testing.assert_array_equal(out, reference_euler(model, dt, dw))
 
 
 def test_batch_divergence_locates_offending_path():
