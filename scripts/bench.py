@@ -14,6 +14,10 @@ root of the checkout, holds:
 * per workload and end-to-end metric: median, quartiles and every run;
 * per workload: runs correct, operations attempted and failed;
 * the stream fingerprint (sha256 of ``estimate --n 64 --seed 0``);
+* the commit perfbench reports, and whether the tracked files match it:
+  with uncommitted changes ``commit`` is null and ``tree_clean`` false,
+  because perfbench reads the hash from ``.git/HEAD``, which then names
+  the parent of what was measured;
 * the Tier-1 wall time, its summary line and its slowest tests.
 
 Only the standard library is used; compare two files by hand or with
@@ -46,6 +50,20 @@ def _perfbench(workload: str, seed: int, seconds: float) -> tuple:
     )
     lines = done.stdout.strip().splitlines()
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def _tree_clean():
+    """True if no tracked file differs from HEAD; None outside a git checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=ROOT, capture_output=True, text=True,
+        )
+    except OSError:
+        return None
+    if done.returncode != 0:
+        return None
+    return not done.stdout.strip()
 
 
 def _tier1() -> dict:
@@ -91,6 +109,8 @@ def main() -> int:
     metric_names = [m["name"] for m in bench["end_to_end"]]
     seconds = bench["run_seconds"]
 
+    # read before the runs, so a later edit cannot pass for what was measured
+    tree_clean = _tree_clean()
     runs = {name: [] for name in names}
     fingerprints = set()
     commit = None
@@ -128,7 +148,8 @@ def main() -> int:
 
     payload = {
         "label": args.label,
-        "commit": commit,
+        "commit": commit if tree_clean else None,
+        "tree_clean": tree_clean,
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),

@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,15 +115,31 @@ def _truth_value(args, reference: Optional[AnalyticReference]) -> float:
     return reference.exact_expectation
 
 
-def _seed(text: str) -> int:
-    """argparse type for --seed: an integer in [0, 2**64)."""
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expects an integer, got %r" % text)
+
+
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer in [0, 2**64)."""
+    value = _integer(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("must lie in [0, 2**64), got %d" % value)
     return value
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer >= ``low``, so the error names the flag."""
+
+    def parse(text: str) -> int:
+        value = _integer(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+
+    return parse
 
 
 # the flags each allocator reads; they default to None, so a given one is seen
@@ -534,14 +550,16 @@ _COMMON_FLAGS = {
     "--m": dict(type=int, default=2, help="refinement factor (default 2)"),
     "--T": dict(type=float, default=1.0, help="time horizon (default 1)"),
     "--seed": dict(type=_seed, default=0, help="master seed in [0, 2**64) (default 0)"),
-    "--replication": dict(type=int, default=0, help="replication index for stream derivation"),
+    "--replication": dict(
+        type=_int_at_least(0), default=0, help="replication index for stream derivation"
+    ),
     "--threads": dict(type=int, default=None, help="worker threads (default: all cores)"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--out": dict(help="write output to this file instead of stdout"),
     "--verbose": dict(action="store_true", help="one log line per level on stderr"),
     "--truth": dict(type=float, help="override the analytic expectation"),
     "--samples": dict(type=int, default=100_000),
-    "--grid-steps": dict(type=int, default=1024),
+    "--grid-steps": dict(type=_int_at_least(1), default=1024),
 }
 
 

@@ -12,10 +12,15 @@ built from three ingredients on one shared grid:
     driven by a fresh q**2-dimensional Brownian motion B independent of
     W (s_i denotes the i-th diffusion column).
 
-The draw is U_T = Z_T A_T / sqrt(2).  Inverses of Z are never formed;
-each step solves a linear system with the current Z (scalar division
-when d == 1).  A transport whose condition number exceeds 1e12 raises
-DegenerateTransportError rather than returning garbage.
+Given the W path, A_T is exactly centred Gaussian with covariance
+C_T = integral G G^T dt, where G = Z^-1 [(grad s_j) s_i]_{ij} is d x q**2.
+A_T is therefore sampled from that conditional law: C_T accumulates on
+the Euler grid along the path, and A_T = C_T**(1/2) xi for d standard
+normals xi, the B stream's only words.  The draw is U_T = Z_T A_T /
+sqrt(2).  Inverses of Z are never formed; each step solves a linear
+system with the current Z (scalar division when d == 1).  A transport
+whose condition number exceeds 1e12 raises DegenerateTransportError
+rather than returning garbage.
 
 Statistical use: Var(grad f(X_T) . U_T) is the variance appearing in
 the central limit theorem for the multilevel estimator, so this module
@@ -81,39 +86,53 @@ class LimitSimConfig:
             raise ValueError("n_steps must be >= 1")
 
 
-def _scalar_batch(model, n_steps, dw, db):
+def _scalar_batch(model, n_steps, dw, xi):
     """d == q == 1 specialization working on flat (n,) arrays.
 
-    ``dw`` (steps, n, 1) and ``db`` (steps, n, 1, 1) are step-major.  The
-    state update stays fused here instead of going through
-    ``paths._euler_step``: the accumulator reuses the diffusion column
-    that update needs, and this engine is the inner loop of
+    ``dw`` (steps, n, 1) is step-major and ``xi`` (n, 1) holds the B
+    stream's one normal per draw.  The conditional variance
+    c = dt sum_k (s'(X_k) s(X_k) / Z_k)**2 accumulates along the path and
+    A_T = sqrt(c) xi.  The state update stays fused here instead of going
+    through ``paths._euler_step``: the accumulator reuses the diffusion
+    column that update needs, and this engine is the inner loop of
     ``estimate_limit_variance`` for every scalar model.
     """
     n = dw.shape[1]
     dt = model.horizon / n_steps
     x = np.full(n, model.initial[0])
     z = np.ones(n)
-    acc = np.zeros(n)
+    c = np.zeros(n)
+    g = np.empty(n)
     for k in range(n_steps):
         xs = x[:, None]
         grad_diff = model.diffusion_jacobians[0](xs)[:, 0, 0]
         diff_col = model.diffusion(xs)[:, 0, 0]
         if np.any(np.abs(z) * _COND_LIMIT < 1.0):
             raise DegenerateTransportError("transport collapsed to zero")
-        acc = acc + grad_diff * diff_col / z * db[k, :, 0, 0]
-        grad_drift = model.drift_jacobian(xs)[:, 0, 0]
-        z = z + (grad_drift * dt + grad_diff * dw[k, :, 0]) * z
-        x = x + model.drift(xs)[:, 0] * dt + diff_col * dw[k, :, 0]
+        np.multiply(grad_diff, diff_col, out=g)
+        g /= z
+        g *= g
+        c += g
+        z += (model.drift_jacobian(xs)[:, 0, 0] * dt + grad_diff * dw[k, :, 0]) * z
+        # every term that reads x (or a view of it) is formed before x moves
+        drift = model.drift(xs)[:, 0] * dt
+        noise = diff_col * dw[k, :, 0]
+        x += drift
+        x += noise
+    acc = np.sqrt(c * dt) * xi[:, 0]
     u = z * acc / math.sqrt(2.0)
     return x[:, None], u[:, None]
 
 
-def _general_batch(model, n_steps, dw, db):
+def _general_batch(model, n_steps, dw, xi):
     """Generic d, q recursion on stacked matrices.
 
-    ``dw`` (steps, n, q) and ``db`` (steps, n, q, q) are step-major.  The
-    state takes the package's one Euler step, ``paths._euler_step``.
+    ``dw`` (steps, n, q) is step-major and ``xi`` (n, d) holds the B
+    stream's d normals per draw.  Each step solves Z against the q**2
+    columns (grad s_j)(X) s_i(X) and adds G G^T to the conditional
+    covariance; A_T = C_T**(1/2) xi with C_T = dt sum_k G_k G_k^T and the
+    symmetric square root, so C_T = 0 gives A_T = 0 exactly.  The state
+    takes the package's one Euler step, ``paths._euler_step``.
     """
     n = dw.shape[1]
     d = model.dim_state
@@ -121,19 +140,17 @@ def _general_batch(model, n_steps, dw, db):
     dt = model.horizon / n_steps
     x = np.broadcast_to(model.initial, (n, d)).copy()
     z = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    acc = np.zeros((n, d))
+    cov = np.zeros((n, d, d))
     for k in range(n_steps):
         diff = model.diffusion(x)  # (n, d, q)
         grads = [jac(x) for jac in model.diffusion_jacobians]  # q of (n, d, d)
-        # sum_{i,j} (grad s_j)(x) s_i(x) dB^ij, then one solve against Z.
-        driven = np.zeros((n, d))
-        for j in range(q):
-            gj_cols = np.einsum("nab,nbi->nai", grads[j], diff)  # (n, d, q)
-            driven += np.einsum("nai,ni->na", gj_cols, db[k, :, :, j])
+        # column (j, i) is (grad s_j)(x) s_i(x)
+        cols = np.concatenate([grads[j] @ diff for j in range(q)], axis=2)  # (n, d, q*q)
         try:
-            acc = acc + np.linalg.solve(z, driven[..., None])[..., 0]
+            g = np.linalg.solve(z, cols)
         except np.linalg.LinAlgError:
             raise DegenerateTransportError("transport is singular") from None
+        cov += g @ g.transpose(0, 2, 1)
         step = model.drift_jacobian(x) * dt
         for j in range(q):
             step = step + grads[j] * dw[k, :, j, None, None]
@@ -142,6 +159,11 @@ def _general_batch(model, n_steps, dw, db):
     cond = np.linalg.cond(z)
     if not np.isfinite(cond).all() or cond.max() > _COND_LIMIT:
         raise DegenerateTransportError("transport condition number above 1e12")
+    cov *= dt
+    w, v = np.linalg.eigh(cov)
+    # v diag(sqrt(w)) v^T xi, with rounding's negative eigenvalues at 0
+    scaled = np.sqrt(np.maximum(w, 0.0)) * np.einsum("nba,nb->na", v, xi)
+    acc = np.einsum("nab,nb->na", v, scaled)
     u = np.einsum("nab,nb->na", z, acc) / math.sqrt(2.0)
     return x, u
 
@@ -157,9 +179,11 @@ def limit_draws(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Joint draws of (X_T, U_T); returns arrays (n, d), (n, d).
 
-    The state path consumes the W stream and the accumulator the B
-    stream, both keyed by ``replication``.  Work is chunked over fixed
-    path spans, so results do not depend on ``threads``.
+    The state path consumes q * n_steps words of the W stream per draw.
+    The accumulator, Gaussian given the path, consumes d words of the B
+    stream per draw.  Both streams are keyed by ``replication``.  Work is
+    chunked over fixed path spans, so results do not depend on
+    ``threads``.
     """
     if n_steps < 1 or n_draws < 0:
         raise ValueError("n_steps must be >= 1 and n_draws >= 0")
@@ -171,7 +195,7 @@ def limit_draws(
     u_out = np.empty((n_draws, d))
 
     def work(a, b):
-        # each stream's rows are freed as soon as their step-major copy exists
+        # the W rows are freed as soon as their step-major copy exists
         dw = _step_major(
             normal_block(
                 master_seed, DOMAIN_LIMIT_W, n_steps, replication, first_path + a, b - a,
@@ -180,18 +204,15 @@ def limit_draws(
             math.sqrt(dt),
             n_steps,
         )
-        # dB^ij is indexed (noise column i, Jacobian column j).
-        db = _step_major(
-            normal_block(
-                master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a,
-                q * q * n_steps,
-            ),
-            math.sqrt(dt),
-            n_steps,
-        ).reshape(n_steps, b - a, q, q)
-        x_out[a:b], u_out[a:b] = engine(model, n_steps, dw, db)
+        xi = normal_block(
+            master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a, d
+        )
+        x_out[a:b], u_out[a:b] = engine(model, n_steps, dw, xi)
 
-    _run_tasks([_chunk_tasks(n_draws, _chunk_size(q * (1 + q) * n_steps), work)], threads)
+    # A chunk holds each draw's W words twice, as rows and as their
+    # step-major copy, so the budget counts both; counting them once
+    # doubles the chunk and its peak memory.
+    _run_tasks([_chunk_tasks(n_draws, _chunk_size(2 * q * n_steps + d), work)], threads)
     return x_out, u_out
 
 

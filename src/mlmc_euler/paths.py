@@ -16,10 +16,11 @@ rejected rather than wrapped onto another seed's stream.
 
 Layout contract: ``normal_block`` returns path-major rows, one row per
 path, so the stream stays addressed per path.  Every Euler kernel takes
-step-major increments instead: (steps, n, q) Brownian increments, and
-(steps, n, q, q) for the limit law's second noise, so each step reads
-one contiguous (n, q) slice.  ``_step_major`` turns the rows of a chunk
-into that layout and scales them by sqrt(dt) in the same pass.
+step-major increments instead, (steps, n, q) Brownian increments, so
+each step reads one contiguous (n, q) slice.  ``_step_major`` turns the
+rows of a chunk into that layout and scales them by sqrt(dt) in the same
+pass.  The limit law's second stream is not a path: it keeps its (n, d)
+rows.
 
 Scheduling contract: a batch is split into chunk tasks whose boundaries
 depend only on the per-path draw budget (``_chunk_size``), never on the
@@ -86,6 +87,8 @@ def _philox(master_seed: int, domain: int, slot: int, replication: int) -> np.ra
     # it would give -1 and 2**64 - 1 the same stream.
     if not 0 <= master_seed <= _U64:
         raise ValueError("master_seed must lie in [0, 2**64)")
+    if replication < 0:
+        raise ValueError("replication must be >= 0")
     seq = np.random.SeedSequence(
         entropy=int(master_seed),
         spawn_key=(domain, slot, replication),

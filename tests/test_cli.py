@@ -445,6 +445,21 @@ def test_seed_outside_64_bits_is_usage_error(capsys):
     assert outputs[0] != outputs[1]
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("estimate --n 4 --replication -1", "--replication"),
+        ("limit-var --samples 100 --grid-steps 8 --replication -1", "--replication"),
+        ("limit-var --samples 100 --grid-steps 0", "--grid-steps"),
+    ],
+)
+def test_out_of_range_integer_flag_is_usage_error_naming_it(capsys, command, flag):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_repeated_run_is_byte_identical(capsys):
     argv = "limit-var --vol 0.2 --mu 0.05 --samples 300 --grid-steps 16".split()
     _, first, _ = run_cli(capsys, *argv)

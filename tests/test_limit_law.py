@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mlmc_euler as me
-from mlmc_euler import limit_law
+from mlmc_euler import limit_law, paths
 from mlmc_euler.paths import DOMAIN_LIMIT_B, DOMAIN_LIMIT_W
 
 
@@ -39,54 +39,132 @@ def test_zero_diffusion_limit_is_exactly_zero():
     x, u = me.limit_draws(model, 32, 50, 0)
     np.testing.assert_array_equal(u, np.zeros((50, 1)))
     np.testing.assert_allclose(x[:, 0], (1.0 + 0.05 / 32) ** 32, rtol=1e-14)
+    # the general engine's square root of a zero covariance is exactly zero
+    dw, xi = engine_increments(model, 32, 50, 0)
+    _, ug = limit_law._general_batch(model, 32, dw, xi)
+    np.testing.assert_array_equal(ug, np.zeros((50, 1)))
+
+
+def limit_xi(seed, steps, paths, d=1, replication=0):
+    """The B stream's d normals per draw that ``limit_draws`` reads, (paths, d)."""
+    return me.normal_block(seed, DOMAIN_LIMIT_B, steps, replication, 0, paths, d)
 
 
 def test_limit_draw_closed_form_identity():
-    """At x0=1, mu=0, vol=1 transport and state coincide bitwise, so
-    U_T equals X_T times the accumulated independent increments over
-    sqrt(2); reconstruct that from the documented stream layout."""
+    """At x0=1, mu=0, vol=1 transport and state coincide bitwise, every
+    step adds exactly 1 to the conditional variance and 64 steps of
+    1/64 sum to exactly T = 1, so U_T equals X_T times the draw's one B
+    normal over sqrt(2); reconstruct that from the documented stream
+    layout."""
     model = me.make_gbm(1.0, 0.0, 1.0, 1.0)
     steps, paths = 64, 64
     x, u = me.limit_draws(model, steps, paths, 11, replication=2)
-    z = me.normal_block(11, DOMAIN_LIMIT_B, steps, 2, 0, paths, steps)
-    db = math.sqrt(model.horizon / steps) * z
-    acc = np.zeros(paths)
-    for k in range(steps):
-        acc = acc + db[:, k]
-    np.testing.assert_array_equal(u[:, 0], x[:, 0] * acc / math.sqrt(2.0))
+    xi = limit_xi(11, steps, paths, replication=2)
+    np.testing.assert_array_equal(u[:, 0], x[:, 0] * xi[:, 0] / math.sqrt(2.0))
 
 
 def test_transport_equals_scaled_state_for_gbm():
-    # Z and X/x0 solve the same linear recursion, so the simulated U
-    # equals X * B_T / sqrt(2) up to roundoff for any GBM parameters
+    # Z and X/x0 solve the same linear recursion, so the conditional
+    # variance is vol^4 x0^2 T and the simulated U equals
+    # vol^2 X sqrt(T) xi / sqrt(2) up to roundoff for any GBM parameters
     model = me.make_gbm(2.0, 0.1, 0.3, 1.5)
     steps, paths = 128, 500
     x, u = me.limit_draws(model, steps, paths, 3)
-    z = me.normal_block(3, DOMAIN_LIMIT_B, steps, 0, 0, paths, steps)
-    db = math.sqrt(model.horizon / steps) * z
-    acc = np.zeros(paths)
-    for k in range(steps):
-        acc = acc + db[:, k]
-    expect = 0.3 * 0.3 * x[:, 0] * acc / math.sqrt(2.0)
+    xi = limit_xi(3, steps, paths)
+    expect = 0.3 * 0.3 * x[:, 0] * math.sqrt(1.5) * xi[:, 0] / math.sqrt(2.0)
     np.testing.assert_allclose(u[:, 0], expect, rtol=1e-10)
 
 
+def test_split_noise_limit_draw_closed_form(split_noise_gbm):
+    # q = 2: (grad s_j) s_i / Z = s_i s_j x0 for s = (0.12, 0.16), so the
+    # conditional variance is T sum_ij (s_i s_j)^2 = T (s1^2 + s2^2)^2
+    steps, paths = 64, 300
+    x, u = me.limit_draws(split_noise_gbm, steps, paths, 4)
+    xi = limit_xi(4, steps, paths)
+    expect = 0.04 * x[:, 0] * math.sqrt(split_noise_gbm.horizon) * xi[:, 0] / math.sqrt(2.0)
+    np.testing.assert_allclose(u[:, 0], expect, rtol=1e-10)
+
+
+def decoupled_gbm_2d(x0, mu, vol, horizon):
+    """Two independent GBMs as one d = q = 2 model: dX_j = mu_j X_j dt + vol_j X_j dW_j."""
+    x0, mu, vol = (np.asarray(v, dtype=float) for v in (x0, mu, vol))
+
+    def diag(values):
+        return values[..., :, None] * np.eye(2)
+
+    def jacobian(j):
+        unit = np.zeros((2, 2))
+        unit[j, j] = vol[j]
+        return lambda x: np.broadcast_to(unit, x.shape[:-1] + (2, 2)).copy()
+
+    return me.SdeModel(
+        dim_state=2,
+        dim_noise=2,
+        initial=x0,
+        horizon=horizon,
+        drift=lambda x: mu * x,
+        diffusion=lambda x: diag(vol * x),
+        drift_jacobian=lambda x: np.broadcast_to(np.diag(mu), x.shape[:-1] + (2, 2)).copy(),
+        diffusion_jacobians=(jacobian(0), jacobian(1)),
+    )
+
+
+def test_decoupled_2d_limit_draw_closed_form():
+    # the transport and the conditional covariance are diagonal, and each
+    # coordinate is the scalar GBM identity: u_j = vol_j^2 X_j sqrt(T) xi_j / sqrt(2)
+    vol = np.array([0.3, 0.5])
+    horizon = 1.25
+    model = decoupled_gbm_2d([1.5, 0.8], [0.05, -0.1], vol, horizon)
+    steps, paths = 64, 300
+    x, u = me.limit_draws(model, steps, paths, 6)
+    xi = limit_xi(6, steps, paths, d=2)
+    expect = vol**2 * x * math.sqrt(horizon) * xi / math.sqrt(2.0)
+    np.testing.assert_allclose(u, expect, rtol=1e-10)
+
+
+def _counter(bit_generator):
+    words = bit_generator.state["state"]["counter"]
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+@pytest.mark.parametrize("name", ["gbm", "split_noise", "decoupled_2d"])
+def test_limit_draws_chunk_reads_n_d_b_words(monkeypatch, split_noise_gbm, name):
+    # the accumulator is sampled from its conditional law, so a chunk of
+    # n draws reads exactly n d words of the B stream
+    model = {
+        "gbm": me.make_gbm(1.0, 0.05, 0.2, 1.0),
+        "split_noise": split_noise_gbm,
+        "decoupled_2d": decoupled_gbm_2d([1.0, 1.0], [0.0, 0.0], [0.2, 0.3], 1.0),
+    }[name]
+    made = []
+    plain = paths._philox
+
+    def keep(*args):
+        bg = plain(*args)
+        made.append((args, bg, _counter(bg)))
+        return bg
+
+    monkeypatch.setattr(paths, "_philox", keep)
+    n = 36
+    limit_law.limit_draws(model, 16, n, 0)
+    b_stream = [(bg, start) for args, bg, start in made if args[1] == DOMAIN_LIMIT_B]
+    (bg, start), = b_stream
+    # the counter moves one block per 4 words, and n d is a multiple of 4
+    assert 4 * (_counter(bg) - start) == n * model.dim_state
+
+
 def engine_increments(model, steps, paths, seed):
-    """The step-major (dw, db) arrays that ``limit_draws`` feeds its engines, d = q = 1."""
+    """The step-major dw and the B normals xi that ``limit_draws`` feeds its engines, d = q = 1."""
     sqrt_dt = math.sqrt(model.horizon / steps)
     zw = me.normal_block(seed, DOMAIN_LIMIT_W, steps, 0, 0, paths, steps)
-    zb = me.normal_block(seed, DOMAIN_LIMIT_B, steps, 0, 0, paths, steps)
-    return (
-        sqrt_dt * zw.reshape(paths, steps, 1).transpose(1, 0, 2),
-        sqrt_dt * zb.reshape(paths, steps, 1, 1).transpose(1, 0, 2, 3),
-    )
+    return sqrt_dt * zw.reshape(paths, steps, 1).transpose(1, 0, 2), limit_xi(seed, steps, paths)
 
 
 def test_generic_engine_matches_scalar_fast_path():
     model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    dw, db = engine_increments(model, 32, 400, 5)
-    xs, us = limit_law._scalar_batch(model, 32, dw, db)
-    xg, ug = limit_law._general_batch(model, 32, dw, db)
+    dw, xi = engine_increments(model, 32, 400, 5)
+    xs, us = limit_law._scalar_batch(model, 32, dw, xi)
+    xg, ug = limit_law._general_batch(model, 32, dw, xi)
     np.testing.assert_allclose(xs, xg, rtol=1e-12)
     np.testing.assert_allclose(us, ug, rtol=1e-12, atol=1e-14)
     # limit_draws runs the scalar engine on these very arrays when d = q = 1
@@ -104,11 +182,17 @@ def test_limit_draws_thread_partition_is_bitwise():
 
 
 def test_split_noise_limit_draws_thread_partition_is_bitwise(split_noise_gbm):
-    # q = 2 runs the general engine, with its q x q dB indexing
+    # q = 2 runs the general engine, with its q x q columns per step
     x1, u1 = me.limit_draws(split_noise_gbm, 32, 901, 0, threads=1)
     x8, u8 = me.limit_draws(split_noise_gbm, 32, 901, 0, threads=8)
     np.testing.assert_array_equal(x1, x8)
     np.testing.assert_array_equal(u1, u8)
+    # 901 draws are one chunk: a draw must also not depend on the batch
+    # its engine call runs in
+    for a, b in ((0, 1), (1, 300), (300, 901)):
+        xp, up = me.limit_draws(split_noise_gbm, 32, b - a, 0, first_path=a)
+        np.testing.assert_array_equal(xp, x1[a:b])
+        np.testing.assert_array_equal(up, u1[a:b])
 
 
 def test_limit_moments_match_closed_form():
@@ -216,10 +300,10 @@ def test_degenerate_transport_raises_in_both_engines():
     )
     with pytest.raises(me.DegenerateTransportError):
         me.limit_draws(model, steps, 16, 0)
-    dw, db = engine_increments(model, steps, 16, 0)
+    dw, xi = engine_increments(model, steps, 16, 0)
     for engine in (limit_law._scalar_batch, limit_law._general_batch):
         with pytest.raises(me.DegenerateTransportError):
-            engine(model, steps, dw, db)
+            engine(model, steps, dw, xi)
 
 
 def test_two_level_zero_coefficients_all_samples_zero():

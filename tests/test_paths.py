@@ -163,6 +163,14 @@ def test_master_seed_outside_64_bits_is_rejected():
     assert not np.array_equal(low, high)
 
 
+def test_negative_replication_is_rejected():
+    # SeedSequence would reject it too, but with a message naming no key
+    with pytest.raises(ValueError, match="replication"):
+        me.normal_block(0, DOMAIN_SINGLE, 0, -1, 0, 4, 2)
+    with pytest.raises(ValueError, match="replication"):
+        me.single_terminals(me.make_gbm(1.0, 0.05, 0.2, 1.0), 2, 4, 0, replication=-1)
+
+
 def test_normal_block_moments_are_sane():
     z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 0, 2000, 16)
     assert abs(z.mean()) < 0.02
