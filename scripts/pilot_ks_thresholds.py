@@ -24,26 +24,26 @@ import json
 import numpy as np
 from scipy.special import ndtr
 
+from mlmc_euler import ks_statistic_one_sample, ks_statistic_two_sample
+
 
 def fitted_one_sample_null(sets: int, reps: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal((sets, reps))
+    # moments of the sorted rows, as the frozen numbers were computed
     x.sort(axis=1)
-    mean = x.mean(axis=1, keepdims=True)
-    sd = x.std(axis=1, ddof=1, keepdims=True)
-    f = ndtr((x - mean) / sd)
-    grid = np.arange(1, reps + 1) / reps
-    return np.maximum(grid - f, f - (grid - 1.0 / reps)).max(axis=1)
+    stats = np.empty(sets)
+    for i, row in enumerate(x):
+        mean, sd = row.mean(), row.std(ddof=1)
+        stats[i] = ks_statistic_one_sample(row, lambda v: ndtr((v - mean) / sd))
+    return stats
 
 
 def two_sample_null(sets: int, size: int, rng: np.random.Generator) -> np.ndarray:
     stats = np.empty(sets)
     for i in range(sets):
-        a = np.sort(rng.standard_normal(size))
-        b = np.sort(rng.standard_normal(size))
-        pooled = np.concatenate([a, b])
-        fa = np.searchsorted(a, pooled, side="right") / size
-        fb = np.searchsorted(b, pooled, side="right") / size
-        stats[i] = np.abs(fa - fb).max()
+        a = rng.standard_normal(size)
+        b = rng.standard_normal(size)
+        stats[i] = ks_statistic_two_sample(a, b)
     return stats
 
 

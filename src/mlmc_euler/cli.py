@@ -558,7 +558,7 @@ _COMMON_FLAGS = {
     "--out": dict(help="write output to this file instead of stdout"),
     "--verbose": dict(action="store_true", help="one log line per level on stderr"),
     "--truth": dict(type=float, help="override the analytic expectation"),
-    "--samples": dict(type=int, default=100_000),
+    "--samples": dict(type=_int_at_least(2), default=100_000),
     "--grid-steps": dict(type=_int_at_least(1), default=1024),
 }
 
@@ -598,7 +598,7 @@ def _add_verify_parsers(sub) -> None:
     p.add_argument("--t", type=float, help="upper integration time (default T)")
     p.add_argument("--mode", choices=("time", "brownian"), default="time")
     # time mode draws no paths, so it rejects these three
-    p.add_argument("--samples", type=int, help="brownian: paths (default 100000)")
+    p.add_argument("--samples", type=_int_at_least(1), help="brownian: paths (default 100000)")
     _add_common_flags(p, "--seed", "--threads")
     p.set_defaults(seed=None)
 
@@ -609,7 +609,7 @@ def _add_verify_parsers(sub) -> None:
     _add_model_flags(p)
     _add_plan_flags(p, n_default=16)
     _add_common_flags(p, "--T", "--seed", "--threads", "--out", "--truth")
-    p.add_argument("--replications", type=int, default=200)
+    p.add_argument("--replications", type=_int_at_least(2), default=200)
     p.add_argument("--sigma2", type=float, help="null variance (default: sample)")
 
     p = experiment(
@@ -619,7 +619,7 @@ def _add_verify_parsers(sub) -> None:
     _add_model_flags(p)
     _add_plan_flags(p, n_default=16)
     _add_common_flags(p, "--T", "--seed", "--threads", "--out", "--truth")
-    p.add_argument("--replications", type=int, default=200)
+    p.add_argument("--replications", type=_int_at_least(1), default=200)
     p.add_argument("--confidence", type=float, default=0.9)
 
     p = experiment(
@@ -636,7 +636,7 @@ def _add_verify_parsers(sub) -> None:
     )
     _add_model_flags(p)
     _add_common_flags(p, "--m", "--T", "--seed", "--threads", "--out", "--samples", "--grid-steps")
-    p.add_argument("--level", type=int, default=8, help="fine level (default 8)")
+    p.add_argument("--level", type=_int_at_least(1), default=8, help="fine level (default 8)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -705,7 +705,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_bench, "--T", "--seed", "--threads", "--format", "--out", "--verbose", "--truth"
     )
     p_bench.add_argument("--methods", default="crude-mc,mlmc")
-    p_bench.add_argument("--replications", type=int, default=25)
+    p_bench.add_argument("--replications", type=_int_at_least(1), default=25)
     p_bench.set_defaults(func=_cmd_benchmark, format="csv")
 
     return parser

@@ -160,7 +160,7 @@ def bracket_expectation_check(
     k = np.arange(cells)
 
     def work(a, b):
-        z = normal_block(master_seed, DOMAIN_BRACKET, n, m, a, b - a, fine_steps)
+        z = normal_block(master_seed, DOMAIN_BRACKET, n, m, a, b - a, 1, fine_steps)[0]
         w = np.cumsum(math.sqrt(dt_fine) * z, axis=1)
         w = np.concatenate([np.zeros((b - a, 1)), w], axis=1)
         diffs = w[:, k] - w[:, (k // m) * m]

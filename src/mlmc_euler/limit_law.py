@@ -44,7 +44,6 @@ from .paths import (
     _chunk_tasks,
     _euler_step,
     _run_tasks,
-    _step_major,
     coupled_terminals,
     normal_block,
 )
@@ -195,24 +194,16 @@ def limit_draws(
     u_out = np.empty((n_draws, d))
 
     def work(a, b):
-        # the W rows are freed as soon as their step-major copy exists
-        dw = _step_major(
-            normal_block(
-                master_seed, DOMAIN_LIMIT_W, n_steps, replication, first_path + a, b - a,
-                q * n_steps,
-            ),
-            math.sqrt(dt),
-            n_steps,
+        dw = normal_block(
+            master_seed, DOMAIN_LIMIT_W, n_steps, replication, first_path + a, b - a, n_steps, q
         )
+        dw *= math.sqrt(dt)
         xi = normal_block(
-            master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a, d
-        )
+            master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a, 1, d
+        )[0]
         x_out[a:b], u_out[a:b] = engine(model, n_steps, dw, xi)
 
-    # A chunk holds each draw's W words twice, as rows and as their
-    # step-major copy, so the budget counts both; counting them once
-    # doubles the chunk and its peak memory.
-    _run_tasks([_chunk_tasks(n_draws, _chunk_size(2 * q * n_steps + d), work)], threads)
+    _run_tasks([_chunk_tasks(n_draws, _chunk_size(q * n_steps + d), work)], threads)
     return x_out, u_out
 
 

@@ -14,13 +14,13 @@ that holds its first word and drops the words of that block that belong
 to earlier paths.  Master seeds must lie in [0, 2**64); anything else is
 rejected rather than wrapped onto another seed's stream.
 
-Layout contract: ``normal_block`` returns path-major rows, one row per
-path, so the stream stays addressed per path.  Every Euler kernel takes
-step-major increments instead, (steps, n, q) Brownian increments, so
-each step reads one contiguous (n, q) slice.  ``_step_major`` turns the
-rows of a chunk into that layout and scales them by sqrt(dt) in the same
-pass.  The limit law's second stream is not a path: it keeps its (n, d)
-rows.
+Layout contract: ``normal_block`` returns step-major normals, shape
+(steps, n, q), and every Euler kernel takes its Brownian increments in
+that layout, so each step reads one contiguous (n, q) slice.  Callers
+scale them by sqrt(dt) in place.  Only ``normal_block`` knows that the
+stream is addressed per path.  A consumer with no time steps (the limit
+law's second stream, the bracket check's whole paths) asks for one step
+and takes its (n, width) slice ``[0]``.
 
 Scheduling contract: a batch is split into chunk tasks whose boundaries
 depend only on the per-path draw budget (``_chunk_size``), never on the
@@ -96,6 +96,12 @@ def _philox(master_seed: int, domain: int, slot: int, replication: int) -> np.ra
     return np.random.Philox(seq)
 
 
+# Paths per block of ``normal_block``: at least 256, and about 2**16
+# elements per block, so a chunk of short paths is a single block.
+_BLOCK_ELEMENTS = 1 << 16
+_MIN_BLOCK_PATHS = 256
+
+
 def normal_block(
     master_seed: int,
     domain: int,
@@ -103,45 +109,37 @@ def normal_block(
     replication: int,
     first_path: int,
     n_paths: int,
-    draws_per_path: int,
+    n_steps: int,
+    width: int,
 ) -> np.ndarray:
-    """Standard normals for paths [first_path, first_path + n_paths).
+    """Standard normals for paths [first_path, first_path + n_paths), step-major.
 
-    Returns a C-contiguous array of shape (n_paths, draws_per_path).
-    Path p always reads words [p * draws_per_path, (p + 1) *
-    draws_per_path) of its stream, so any partition of a path range
-    yields bit-identical numbers; only the four-word blocks that hold
-    these words are generated.
+    Returns a C-contiguous array of shape (n_steps, n_paths, width):
+    step k of path p is ``out[k, p - first_path]``.  With d = n_steps *
+    width, path p reads words [p * d, (p + 1) * d) of its stream, step by
+    step, so any partition of a path range yields bit-identical numbers;
+    only the four-word blocks that hold these words are generated.  The
+    rows are drawn and transformed a block of paths at a time in one
+    buffer, and each block is written step-major while it is in cache.
     """
-    first_word = first_path * draws_per_path
+    d = n_steps * width
+    first_word = first_path * d
     bg = _philox(master_seed, domain, slot, replication)
     # advance() moves the counter in four-word blocks; the words of the
     # first block that precede first_word are drawn and dropped
     bg.advance(first_word // 4)
     bg.random_raw(first_word % 4)
-    u = np.random.Generator(bg).random(n_paths * draws_per_path)
-    u += _HALF_ULP
-    return ndtri(u, out=u).reshape(n_paths, draws_per_path)
-
-
-# Paths per block of ``_step_major``: at least 256, and about 2**16
-# elements per block, so a chunk of short paths is a single block.
-_BLOCK_ELEMENTS = 1 << 16
-_MIN_BLOCK_PATHS = 256
-
-
-def _step_major(z: np.ndarray, scale: float, n_steps: int) -> np.ndarray:
-    """``scale * z`` for path-major rows z (n, n_steps * k), as (n_steps, n, k).
-
-    The transpose is written in blocks of paths, so the rows it reads
-    stay in cache while it scatters them over the steps.
-    """
-    n = z.shape[0]
-    rows = z.reshape(n, n_steps, -1)
-    out = np.empty((n_steps, n, rows.shape[2]))
-    block = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // z.shape[1])
-    for a in range(0, n, block):
-        np.multiply(rows[a : a + block].transpose(1, 0, 2), scale, out=out[:, a : a + block])
+    gen = np.random.Generator(bg)
+    out = np.empty((n_steps, n_paths, width))
+    block = max(_MIN_BLOCK_PATHS, _BLOCK_ELEMENTS // d)
+    buf = np.empty(min(block, n_paths) * d)
+    for a in range(0, n_paths, block):
+        b = min(a + block, n_paths)
+        rows = buf[: (b - a) * d]
+        gen.random(out=rows)
+        rows += _HALF_ULP
+        ndtri(rows, out=rows)
+        out[:, a:b] = rows.reshape(b - a, n_steps, width).transpose(1, 0, 2)
     return out
 
 
@@ -187,7 +185,8 @@ def _euler_batch(
 
 
 def _chunk_size(draws_per_path: int) -> int:
-    # Bound transient memory around ~32 MB of increments per chunk.
+    # A chunk holds its increments once, so this bounds them at ~32 MB
+    # (2**22 doubles) per chunk.
     return max(64, min(1 << 16, (1 << 22) // max(draws_per_path, 1)))
 
 
@@ -255,18 +254,15 @@ def _single_tasks(
     q = model.dim_noise
     dt = model.horizon / n_steps
     out = np.empty((n_paths, model.dim_state))
-    draws = q * n_steps
 
     def work(a, b):
-        # the path-major rows are freed as soon as their step-major copy exists
-        dw = _step_major(
-            normal_block(master_seed, domain, slot, replication, first_path + a, b - a, draws),
-            math.sqrt(dt),
-            n_steps,
+        dw = normal_block(
+            master_seed, domain, slot, replication, first_path + a, b - a, n_steps, q
         )
+        dw *= math.sqrt(dt)
         out[a:b] = _euler_batch(model, dt, dw, first_path + a)
 
-    return out, _chunk_tasks(n_paths, _chunk_size(draws), work)
+    return out, _chunk_tasks(n_paths, _chunk_size(q * n_steps), work)
 
 
 def single_terminals(
@@ -309,16 +305,12 @@ def _coupled_tasks(
     dtc = model.horizon / nc
     fine = np.empty((n_paths, model.dim_state))
     coarse = np.empty((n_paths, model.dim_state))
-    draws = q * nf
 
     def work(a, b):
-        dw = _step_major(
-            normal_block(
-                master_seed, DOMAIN_COUPLED, level, replication, first_path + a, b - a, draws
-            ),
-            math.sqrt(dtf),
-            nf,
+        dw = normal_block(
+            master_seed, DOMAIN_COUPLED, level, replication, first_path + a, b - a, nf, q
         )
+        dw *= math.sqrt(dtf)
         fine[a:b] = _euler_batch(model, dtf, dw, first_path + a)
         # Added left to right for any batch.  numpy's sum over the m axis
         # adds pairwise once m >= 8 if that axis is contiguous, which it is
@@ -330,7 +322,7 @@ def _coupled_tasks(
             dw_c += blocks[:, i]
         coarse[a:b] = _euler_batch(model, dtc, dw_c, first_path + a)
 
-    return (fine, coarse), _chunk_tasks(n_paths, _chunk_size(draws), work)
+    return (fine, coarse), _chunk_tasks(n_paths, _chunk_size(q * nf), work)
 
 
 def coupled_terminals(

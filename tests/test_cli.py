@@ -451,6 +451,13 @@ def test_seed_outside_64_bits_is_usage_error(capsys):
         ("estimate --n 4 --replication -1", "--replication"),
         ("limit-var --samples 100 --grid-steps 8 --replication -1", "--replication"),
         ("limit-var --samples 100 --grid-steps 0", "--grid-steps"),
+        ("limit-var --samples 1 --grid-steps 8", "--samples"),
+        ("verify two-level-law --samples 1 --level 2 --grid-steps 4", "--samples"),
+        ("verify two-level-law --samples 100 --level 0 --grid-steps 4", "--level"),
+        ("verify bracket --mode brownian --samples 0", "--samples"),
+        ("verify clt --n 4 --replications 1", "--replications"),
+        ("verify coverage --n 4 --replications 0", "--replications"),
+        ("benchmark --n-list 4 --replications 0 --truth 1", "--replications"),
     ],
 )
 def test_out_of_range_integer_flag_is_usage_error_naming_it(capsys, command, flag):

@@ -47,7 +47,7 @@ def test_zero_diffusion_limit_is_exactly_zero():
 
 def limit_xi(seed, steps, paths, d=1, replication=0):
     """The B stream's d normals per draw that ``limit_draws`` reads, (paths, d)."""
-    return me.normal_block(seed, DOMAIN_LIMIT_B, steps, replication, 0, paths, d)
+    return me.normal_block(seed, DOMAIN_LIMIT_B, steps, replication, 0, paths, 1, d)[0]
 
 
 def test_limit_draw_closed_form_identity():
@@ -156,8 +156,8 @@ def test_limit_draws_chunk_reads_n_d_b_words(monkeypatch, split_noise_gbm, name)
 def engine_increments(model, steps, paths, seed):
     """The step-major dw and the B normals xi that ``limit_draws`` feeds its engines, d = q = 1."""
     sqrt_dt = math.sqrt(model.horizon / steps)
-    zw = me.normal_block(seed, DOMAIN_LIMIT_W, steps, 0, 0, paths, steps)
-    return sqrt_dt * zw.reshape(paths, steps, 1).transpose(1, 0, 2), limit_xi(seed, steps, paths)
+    zw = me.normal_block(seed, DOMAIN_LIMIT_W, steps, 0, 0, paths, steps, 1)
+    return sqrt_dt * zw, limit_xi(seed, steps, paths)
 
 
 def test_generic_engine_matches_scalar_fast_path():

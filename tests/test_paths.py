@@ -15,10 +15,9 @@ from mlmc_euler.paths import (
     DOMAIN_SINGLE,
     EulerDivergedError,
     _euler_batch,
-    _step_major,
 )
 
-# sha256 of normal_block(0, DOMAIN_SINGLE, 0, 0, 3, 5, d).tobytes() for
+# sha256 of normal_block(0, DOMAIN_SINGLE, 0, 0, 3, 5, 1, d).tobytes() for
 # d = 8 and 512.  A budget that is a multiple of four words starts every
 # path on a Philox block boundary; the crude n = 512 paths and the limit
 # law's 2 * 1024 draws are such budgets, and these digests pin their layout
@@ -74,15 +73,15 @@ def threshold_model(level):
 
 
 def test_normal_block_reproducible_and_keyed():
-    a = me.normal_block(42, DOMAIN_SINGLE, 3, 0, 0, 5, 7)
-    b = me.normal_block(42, DOMAIN_SINGLE, 3, 0, 0, 5, 7)
-    assert a.shape == (5, 7)
+    a = me.normal_block(42, DOMAIN_SINGLE, 3, 0, 0, 5, 1, 7)
+    b = me.normal_block(42, DOMAIN_SINGLE, 3, 0, 0, 5, 1, 7)
+    assert a.shape == (1, 5, 7)
     np.testing.assert_array_equal(a, b)
     for other in (
-        me.normal_block(43, DOMAIN_SINGLE, 3, 0, 0, 5, 7),
-        me.normal_block(42, DOMAIN_COUPLED, 3, 0, 0, 5, 7),
-        me.normal_block(42, DOMAIN_SINGLE, 4, 0, 0, 5, 7),
-        me.normal_block(42, DOMAIN_SINGLE, 3, 1, 0, 5, 7),
+        me.normal_block(43, DOMAIN_SINGLE, 3, 0, 0, 5, 1, 7),
+        me.normal_block(42, DOMAIN_COUPLED, 3, 0, 0, 5, 1, 7),
+        me.normal_block(42, DOMAIN_SINGLE, 4, 0, 0, 5, 1, 7),
+        me.normal_block(42, DOMAIN_SINGLE, 3, 1, 0, 5, 1, 7),
     ):
         assert not np.array_equal(a, other)
 
@@ -91,14 +90,15 @@ def test_normal_block_reproducible_and_keyed():
 @given(
     n_paths=st.integers(1, 40),
     split=st.integers(0, 40),
-    draws=st.integers(1, 18),
+    n_steps=st.integers(1, 6),
+    width=st.integers(1, 3),
 )
-def test_normal_block_partition_is_bit_identical(n_paths, split, draws):
+def test_normal_block_partition_is_bit_identical(n_paths, split, n_steps, width):
     split = min(split, n_paths)
-    whole = me.normal_block(7, DOMAIN_SINGLE, 2, 1, 0, n_paths, draws)
-    head = me.normal_block(7, DOMAIN_SINGLE, 2, 1, 0, split, draws)
-    tail = me.normal_block(7, DOMAIN_SINGLE, 2, 1, split, n_paths - split, draws)
-    np.testing.assert_array_equal(np.vstack([head, tail]), whole)
+    whole = me.normal_block(7, DOMAIN_SINGLE, 2, 1, 0, n_paths, n_steps, width)
+    head = me.normal_block(7, DOMAIN_SINGLE, 2, 1, 0, split, n_steps, width)
+    tail = me.normal_block(7, DOMAIN_SINGLE, 2, 1, split, n_paths - split, n_steps, width)
+    np.testing.assert_array_equal(np.concatenate([head, tail], axis=1), whole)
 
 
 @pytest.mark.parametrize("draws", [1, 2, 3, 5, 6, 7])
@@ -106,11 +106,11 @@ def test_paths_own_consecutive_word_ranges(draws):
     # path p reads words [p * d, (p + 1) * d) of one stream: any block
     # equals the matching run of words drawn as a single long path
     n = 9
-    z = me.normal_block(5, DOMAIN_SINGLE, 2, 1, 0, n, draws)
-    one = me.normal_block(5, DOMAIN_SINGLE, 2, 1, 0, 1, n * draws)
+    z = me.normal_block(5, DOMAIN_SINGLE, 2, 1, 0, n, 1, draws)[0]
+    one = me.normal_block(5, DOMAIN_SINGLE, 2, 1, 0, 1, 1, n * draws)[0]
     np.testing.assert_array_equal(z.ravel(), one.ravel())
     for first in (1, 2, 3, 5):
-        tail = me.normal_block(5, DOMAIN_SINGLE, 2, 1, first, n - first, draws)
+        tail = me.normal_block(5, DOMAIN_SINGLE, 2, 1, first, n - first, 1, draws)[0]
         assert tail.shape == (n - first, draws) and tail.flags.c_contiguous
         np.testing.assert_array_equal(tail.ravel(), one[0, first * draws :])
 
@@ -121,11 +121,15 @@ def _counter(bit_generator):
 
 
 @pytest.mark.parametrize(
-    "first, n, draws", [(0, 4, 1), (3, 5, 1), (7, 3, 3), (5, 2, 6), (2, 0, 3), (1, 1, 8)]
+    "first, n, draws",
+    [(0, 4, 1), (3, 5, 1), (7, 3, 3), (5, 2, 6), (2, 0, 3), (1, 1, 8), (3, 601, 299)],
 )
 def test_normal_block_generates_only_the_blocks_it_reads(monkeypatch, first, n, draws):
     # after the jump to block floor(p d / 4), a call reads the blocks that
-    # hold its first word's offset in that block plus its n d words
+    # hold its first word's offset in that block plus its n d words; a
+    # call of n_steps steps of width d / n_steps builds one Philox and
+    # reads the same blocks, however many path blocks it is drawn in
+    # (601 paths of 299 words are three)
     made = []
     plain = paths._philox
 
@@ -135,15 +139,17 @@ def test_normal_block_generates_only_the_blocks_it_reads(monkeypatch, first, n, 
         return bg
 
     monkeypatch.setattr(paths, "_philox", keep)
-    me.normal_block(0, DOMAIN_SINGLE, 0, 0, first, n, draws)
-    (bg, start), = made
     skip, offset = divmod(first * draws, 4)
-    assert _counter(bg) - start == skip + -(-(offset + n * draws) // 4)
+    for n_steps in (s for s in (1, 3, draws) if draws % s == 0):
+        made.clear()
+        me.normal_block(0, DOMAIN_SINGLE, 0, 0, first, n, n_steps, draws // n_steps)
+        (bg, start), = made
+        assert _counter(bg) - start == skip + -(-(offset + n * draws) // 4)
 
 
 @pytest.mark.parametrize("draws", sorted(BLOCK_ALIGNED_SHA256))
 def test_block_aligned_budgets_keep_their_stream(draws):
-    z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 3, 5, draws)
+    z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 3, 5, 1, draws)[0]
     assert hashlib.sha256(z.tobytes()).hexdigest() == BLOCK_ALIGNED_SHA256[draws]
 
 
@@ -152,13 +158,13 @@ def test_master_seed_outside_64_bits_is_rejected():
     model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="master_seed"):
-            me.normal_block(seed, DOMAIN_SINGLE, 0, 0, 0, 4, 2)
+            me.normal_block(seed, DOMAIN_SINGLE, 0, 0, 0, 4, 1, 2)
         with pytest.raises(ValueError, match="master_seed"):
             me.single_terminals(model, 2, 4, seed)
         with pytest.raises(ValueError, match="master_seed"):
             me.estimate(model, me.identity_payoff(), me.plan_bak(4, 2, 1.0), seed, bias_pilot=0)
-    low = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 0, 4, 2)
-    high = me.normal_block(2**64 - 1, DOMAIN_SINGLE, 0, 0, 0, 4, 2)
+    low = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 0, 4, 1, 2)
+    high = me.normal_block(2**64 - 1, DOMAIN_SINGLE, 0, 0, 0, 4, 1, 2)
     assert np.isfinite(low).all() and np.isfinite(high).all()
     assert not np.array_equal(low, high)
 
@@ -166,24 +172,33 @@ def test_master_seed_outside_64_bits_is_rejected():
 def test_negative_replication_is_rejected():
     # SeedSequence would reject it too, but with a message naming no key
     with pytest.raises(ValueError, match="replication"):
-        me.normal_block(0, DOMAIN_SINGLE, 0, -1, 0, 4, 2)
+        me.normal_block(0, DOMAIN_SINGLE, 0, -1, 0, 4, 1, 2)
     with pytest.raises(ValueError, match="replication"):
         me.single_terminals(me.make_gbm(1.0, 0.05, 0.2, 1.0), 2, 4, 0, replication=-1)
 
 
 def test_normal_block_moments_are_sane():
-    z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 0, 2000, 16)
+    z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 0, 2000, 16, 1)
     assert abs(z.mean()) < 0.02
     assert abs(z.var() - 1.0) < 0.02
     assert np.isfinite(z).all()
 
 
-def test_step_major_is_the_scaled_transpose_across_blocks():
-    # 1000 paths of 512 steps span three full 256-path blocks and a short one
-    for n_steps, per_step in ((512, 1), (300, 2), (1, 1)):
-        z = me.normal_block(3, DOMAIN_SINGLE, 0, 0, 0, 1000, n_steps * per_step)
-        expect = 0.25 * z.reshape(1000, n_steps, per_step).transpose(1, 0, 2)
-        np.testing.assert_array_equal(_step_major(z, 0.25, n_steps), expect)
+@pytest.mark.parametrize("first", [0, 3])
+def test_normal_block_is_step_major_across_blocks(first):
+    # 1000 paths of 512 steps span three full 256-path blocks and a short
+    # one; a first path off a block boundary shifts every block edge.
+    # Step k of path p is the k-th width of p's one-step row, bitwise, and
+    # a path drawn alone (one block) gives the same numbers.
+    for n_steps, width in ((512, 1), (299, 1), (300, 2), (1, 1)):
+        z = me.normal_block(3, DOMAIN_SINGLE, 0, 0, first, 1000, n_steps, width)
+        assert z.shape == (n_steps, 1000, width) and z.flags.c_contiguous
+        rows = me.normal_block(3, DOMAIN_SINGLE, 0, 0, first, 1000, 1, n_steps * width)[0]
+        expect = rows.reshape(1000, n_steps, width).transpose(1, 0, 2)
+        np.testing.assert_array_equal(z, expect)
+        for p in (0, 255, 256, 999):
+            alone = me.normal_block(3, DOMAIN_SINGLE, 0, 0, first + p, 1, n_steps, width)
+            np.testing.assert_array_equal(alone[:, 0], z[:, p])
 
 
 # ------------------------------------------------------------- euler
@@ -267,8 +282,8 @@ def test_euler_batch_matches_per_row_reference(split_noise_gbm):
     for model, n_steps in ((gbm, 1), (gbm, 7), (split_noise_gbm, 5), (linear_2d_model(), 6)):
         q = model.dim_noise
         dt = model.horizon / n_steps
-        z = me.normal_block(11, DOMAIN_SINGLE, 0, 0, 0, 300, q * n_steps)
-        dw = _step_major(z, math.sqrt(dt), n_steps)
+        dw = me.normal_block(11, DOMAIN_SINGLE, 0, 0, 0, 300, n_steps, q)
+        dw *= math.sqrt(dt)
         out = _euler_batch(model, dt, dw, 0)
         assert out.shape == (300, model.dim_state)
         np.testing.assert_array_equal(out, reference_euler(model, dt, dw))
@@ -279,7 +294,7 @@ def test_batch_divergence_locates_offending_path():
     # that is the first non-finite one.  The error names the lowest
     # diverged row, offset by first_path, and that row's first bad step.
     level, n_steps, n_paths, first_path = 1.5, 8, 64, 3
-    z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, first_path, n_paths, n_steps)
+    z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, first_path, n_paths, 1, n_steps)[0]
     w = np.cumsum(math.sqrt(1.0 / n_steps) * z, axis=1)[:, :-1]
     row = int(np.flatnonzero((w > level).any(axis=1))[0])
     step = int(np.flatnonzero(w[row] > level)[0]) + 1
@@ -323,17 +338,17 @@ def test_coupled_terminals_thread_partition_is_bitwise():
 
 
 def assert_coupling_reconstructs(model, level, m, paths):
-    """Rebuild both legs from ``normal_block``'s path-major rows, bitwise.
+    """Rebuild both legs from ``normal_block``'s step-major normals, bitwise.
 
-    Row p holds path p's increments step by step, q per step; the kernel
-    takes them step-major, and the coarse leg the sums of m fine steps.
+    Step k holds every path's q increments of that step; the fine leg
+    takes them scaled by sqrt(dt), and the coarse leg the sums of m fine
+    steps.
     """
     q = model.dim_noise
     nf, nc = m**level, m ** (level - 1)
     dtf = model.horizon / nf
     fine, coarse = me.coupled_terminals(model, level, m, paths, 7, replication=3)
-    z = me.normal_block(7, DOMAIN_COUPLED, level, 3, 0, paths, q * nf)
-    dw = math.sqrt(dtf) * z.reshape(paths, nf, q).transpose(1, 0, 2)
+    dw = math.sqrt(dtf) * me.normal_block(7, DOMAIN_COUPLED, level, 3, 0, paths, nf, q)
     dw_coarse = dw.reshape(nc, m, paths, q).sum(axis=1)
     np.testing.assert_array_equal(_euler_batch(model, dtf, dw, 0), fine)
     np.testing.assert_array_equal(
