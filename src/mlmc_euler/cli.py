@@ -670,7 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--ci-method", choices=("clt", "chebyshev"), default="clt")
     p_est.add_argument(
         "--bias-pilot",
-        type=int,
+        type=_int_at_least(0),
         default=4096,
         help="paths for the Richardson bias pilot (0 disables it)",
     )

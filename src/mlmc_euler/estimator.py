@@ -334,6 +334,8 @@ def estimate(
     """
     if not math.isclose(plan.horizon, model.horizon, rel_tol=1e-12):
         raise ValueError("plan horizon does not match the model horizon")
+    if bias_pilot < 0:
+        raise ValueError("bias_pilot must be >= 0")
     from .diagnostics import confidence_interval  # deferred: diagnostics imports this module
 
     outputs = []

@@ -22,6 +22,14 @@ system with the current Z (scalar division when d == 1).  A transport
 whose condition number exceeds 1e12 raises DegenerateTransportError
 rather than returning garbage.
 
+Scheduling: the engines' per-step recursion is a loop of short numpy
+calls that hold the GIL, while drawing a chunk's normals is a few long
+calls that release it.  So when a call has more chunks than threads,
+its chunks take turns in the engine (one lock, held around each engine
+call) and the other workers draw normals meanwhile; two engines at once
+would hand the GIL back and forth on every call.  Turn order does not
+affect the draws, which stay bitwise equal for any thread count.
+
 Statistical use: Var(grad f(X_T) . U_T) is the variance appearing in
 the central limit theorem for the multilevel estimator, so this module
 provides both the direct simulation and the matching two-level error
@@ -31,6 +39,8 @@ samples for cross-checks.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -57,6 +67,9 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# Held by a chunk of ``limit_draws`` around its engine call when the call
+# has more chunks than threads (see ``limit_draws``).
+_ENGINE_LANE = threading.Lock()
 # Relative half-width of the kink guard band around payoff kinks.
 _KINK_TOL = 1e-12
 # A diffuse terminal law re-enters the guard band with probability ~_KINK_TOL
@@ -83,6 +96,8 @@ class LimitSimConfig:
             raise ValueError("need at least 2 samples")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 def _scalar_batch(model, n_steps, dw, xi):
@@ -95,6 +110,13 @@ def _scalar_batch(model, n_steps, dw, xi):
     through ``paths._euler_step``: the accumulator reuses the diffusion
     column that update needs, and this engine is the inner loop of
     ``estimate_limit_variance`` for every scalar model.
+
+    Its per-step cost is mostly numpy call overhead, so the temporaries
+    are allocated once per call and every product is written with
+    ``out=``, into this function's own arrays only: the model callables
+    may return views of x or cached arrays.  The operations and their
+    order are those of the plain expressions in the comments, so the
+    draws are bitwise the same.
     """
     n = dw.shape[1]
     dt = model.horizon / n_steps
@@ -102,22 +124,33 @@ def _scalar_batch(model, n_steps, dw, xi):
     z = np.ones(n)
     c = np.zeros(n)
     g = np.empty(n)
+    a = np.empty(n)
+    b = np.empty(n)
     for k in range(n_steps):
         xs = x[:, None]
+        dwk = dw[k, :, 0]
         grad_diff = model.diffusion_jacobians[0](xs)[:, 0, 0]
         diff_col = model.diffusion(xs)[:, 0, 0]
-        if np.any(np.abs(z) * _COND_LIMIT < 1.0):
+        # any(|z| * _COND_LIMIT < 1): scaling by a positive constant is
+        # monotone, fmin skips NaN entries and the initial covers n == 0
+        if np.fmin.reduce(np.abs(z, out=a), initial=np.inf) * _COND_LIMIT < 1.0:
             raise DegenerateTransportError("transport collapsed to zero")
         np.multiply(grad_diff, diff_col, out=g)
         g /= z
         g *= g
         c += g
-        z += (model.drift_jacobian(xs)[:, 0, 0] * dt + grad_diff * dw[k, :, 0]) * z
-        # every term that reads x (or a view of it) is formed before x moves
-        drift = model.drift(xs)[:, 0] * dt
-        noise = diff_col * dw[k, :, 0]
-        x += drift
-        x += noise
+        # z += (drift_jacobian * dt + grad_diff * dw_k) * z
+        np.multiply(model.drift_jacobian(xs)[:, 0, 0], dt, out=a)
+        np.multiply(grad_diff, dwk, out=b)
+        a += b
+        a *= z
+        z += a
+        # x += drift * dt, then x += diff_col * dw_k; every term that
+        # reads x (or a view of it) is formed before x moves
+        np.multiply(model.drift(xs)[:, 0], dt, out=a)
+        np.multiply(diff_col, dwk, out=b)
+        x += a
+        x += b
     acc = np.sqrt(c * dt) * xi[:, 0]
     u = z * acc / math.sqrt(2.0)
     return x[:, None], u[:, None]
@@ -183,6 +216,14 @@ def limit_draws(
     stream per draw.  Both streams are keyed by ``replication``.  Work is
     chunked over fixed path spans, so results do not depend on
     ``threads``.
+
+    When a call has more chunks than ``threads``, its chunks take turns
+    in the engine: each holds ``_ENGINE_LANE`` around its engine call, so
+    one chunk runs its per-step recursion while the others draw their
+    normals, which release the GIL.  Two engines at once would pass the
+    GIL back and forth on every one of their short numpy calls and gain
+    little.  With no more chunks than threads there is nothing to
+    overlap, and every chunk enters its engine at once.
     """
     if n_steps < 1 or n_draws < 0:
         raise ValueError("n_steps must be >= 1 and n_draws >= 0")
@@ -201,9 +242,12 @@ def limit_draws(
         xi = normal_block(
             master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a, 1, d
         )[0]
-        x_out[a:b], u_out[a:b] = engine(model, n_steps, dw, xi)
+        with lane:
+            x_out[a:b], u_out[a:b] = engine(model, n_steps, dw, xi)
 
-    _run_tasks([_chunk_tasks(n_draws, _chunk_size(q * n_steps + d), work)], threads)
+    tasks = _chunk_tasks(n_draws, _chunk_size(q * n_steps + d), work)
+    lane = _ENGINE_LANE if len(tasks) > threads else nullcontext()
+    _run_tasks([tasks], threads)
     return x_out, u_out
 
 

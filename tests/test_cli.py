@@ -449,6 +449,7 @@ def test_seed_outside_64_bits_is_usage_error(capsys):
     "command, flag",
     [
         ("estimate --n 4 --replication -1", "--replication"),
+        ("estimate --n 4 --bias-pilot -3", "--bias-pilot"),
         ("limit-var --samples 100 --grid-steps 8 --replication -1", "--replication"),
         ("limit-var --samples 100 --grid-steps 0", "--grid-steps"),
         ("limit-var --samples 1 --grid-steps 8", "--samples"),

@@ -54,6 +54,12 @@ def test_plan_rejects_bad_alpha_and_horizon():
         me.plan_bak(16, 2, 1.0, horizon=-1.0)
 
 
+def test_estimate_rejects_negative_bias_pilot():
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    with pytest.raises(ValueError, match="bias_pilot"):
+        me.estimate(model, me.identity_payoff(), me.plan_bak(4, 2, 1.0), 0, bias_pilot=-1)
+
+
 def test_plan_bak_custom_weights_follow_closed_form():
     weights = [1.0, 2.0, 0.5, 4.0]
     plan = me.plan_bak(16, 2, 1.0, weights=weights)

@@ -1,6 +1,8 @@
 """Limit process simulation and the two-level error distribution."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -173,22 +175,33 @@ def test_generic_engine_matches_scalar_fast_path():
     np.testing.assert_array_equal(u, us)
 
 
+def assert_thread_invariant(model, steps):
+    """``limit_draws`` over three chunks is bitwise equal at 1, 2 and 8 threads.
+
+    Two threads take turns in the engine (3 chunks > 2 threads); eight
+    run the three engine calls at once.  Below 32 steps a chunk holds
+    2**16 draws, which keeps the engines' work small.
+    """
+    chunk = paths._chunk_size(model.dim_noise * steps + model.dim_state)
+    draws = 2 * chunk + 5
+    assert -(-draws // chunk) == 3
+    x1, u1 = me.limit_draws(model, steps, draws, 0, threads=1)
+    for threads in (2, 8):
+        xt, ut = me.limit_draws(model, steps, draws, 0, threads=threads)
+        np.testing.assert_array_equal(xt, x1)
+        np.testing.assert_array_equal(ut, u1)
+
+
 def test_limit_draws_thread_partition_is_bitwise():
-    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    x1, u1 = me.limit_draws(model, 64, 901, 0, threads=1)
-    x8, u8 = me.limit_draws(model, 64, 901, 0, threads=8)
-    np.testing.assert_array_equal(x1, x8)
-    np.testing.assert_array_equal(u1, u8)
+    assert_thread_invariant(me.make_gbm(1.0, 0.05, 0.2, 1.0), 8)
 
 
 def test_split_noise_limit_draws_thread_partition_is_bitwise(split_noise_gbm):
     # q = 2 runs the general engine, with its q x q columns per step
-    x1, u1 = me.limit_draws(split_noise_gbm, 32, 901, 0, threads=1)
-    x8, u8 = me.limit_draws(split_noise_gbm, 32, 901, 0, threads=8)
-    np.testing.assert_array_equal(x1, x8)
-    np.testing.assert_array_equal(u1, u8)
+    assert_thread_invariant(split_noise_gbm, 2)
     # 901 draws are one chunk: a draw must also not depend on the batch
     # its engine call runs in
+    x1, u1 = me.limit_draws(split_noise_gbm, 32, 901, 0)
     for a, b in ((0, 1), (1, 300), (300, 901)):
         xp, up = me.limit_draws(split_noise_gbm, 32, b - a, 0, first_path=a)
         np.testing.assert_array_equal(xp, x1[a:b])
@@ -217,6 +230,16 @@ def test_limit_draws_rows_match_single_path_calls():
         xp, up = me.limit_draws(model, 16, 1, 9, replication=1, first_path=p)
         np.testing.assert_array_equal(xp[0], x[p])
         np.testing.assert_array_equal(up[0], u[p])
+
+
+@pytest.mark.parametrize(
+    "field", [dict(samples=1), dict(n_steps=0), dict(threads=0), dict(threads=-2)]
+)
+def test_limit_config_rejects_out_of_range_fields(field):
+    settings = dict(samples=100, master_seed=0, n_steps=16, threads=1)
+    settings.update(field)
+    with pytest.raises(ValueError):
+        me.LimitSimConfig(**settings)
 
 
 def test_estimate_limit_variance_zero_diffusion_is_zero():
@@ -281,29 +304,183 @@ def test_kink_on_an_atom_of_the_terminal_law_raises():
         me.estimate_limit_variance(model, me.call_payoff(1.0), cfg)
 
 
-def test_degenerate_transport_raises_in_both_engines():
-    # drift Jacobian -n/T zeroes the transport on the first step
-    steps = 8
-
-    def drift(x):
-        return -steps * x
-
-    model = me.SdeModel(
+def collapsing_model(steps):
+    """d = q = 1 model whose drift Jacobian -steps/T zeroes the transport on the first step."""
+    return me.SdeModel(
         dim_state=1,
         dim_noise=1,
         initial=np.array([1.0]),
         horizon=1.0,
-        drift=drift,
+        drift=lambda x: -steps * x,
         diffusion=lambda x: np.zeros((x.shape[0], 1, 1)),
         drift_jacobian=lambda x: np.full((x.shape[0], 1, 1), -float(steps)),
         diffusion_jacobians=(lambda x: np.zeros((x.shape[0], 1, 1)),),
     )
+
+
+def test_degenerate_transport_raises_in_both_engines():
+    steps = 8
+    model = collapsing_model(steps)
     with pytest.raises(me.DegenerateTransportError):
         me.limit_draws(model, steps, 16, 0)
     dw, xi = engine_increments(model, steps, 16, 0)
     for engine in (limit_law._scalar_batch, limit_law._general_batch):
         with pytest.raises(me.DegenerateTransportError):
             engine(model, steps, dw, xi)
+
+
+def scalar_batch_reference(model, n_steps, dw, xi):
+    """The scalar engine written with plain expressions, one temporary per product.
+
+    ``limit_law._scalar_batch`` reuses preallocated buffers and tests the
+    transport with a single minimum; it must stay bitwise equal to this.
+    """
+    n = dw.shape[1]
+    dt = model.horizon / n_steps
+    x = np.full(n, model.initial[0])
+    z = np.ones(n)
+    c = np.zeros(n)
+    g = np.empty(n)
+    for k in range(n_steps):
+        xs = x[:, None]
+        grad_diff = model.diffusion_jacobians[0](xs)[:, 0, 0]
+        diff_col = model.diffusion(xs)[:, 0, 0]
+        if np.any(np.abs(z) * limit_law._COND_LIMIT < 1.0):
+            raise me.DegenerateTransportError("transport collapsed to zero")
+        np.multiply(grad_diff, diff_col, out=g)
+        g /= z
+        g *= g
+        c += g
+        z += (model.drift_jacobian(xs)[:, 0, 0] * dt + grad_diff * dw[k, :, 0]) * z
+        drift = model.drift(xs)[:, 0] * dt
+        noise = diff_col * dw[k, :, 0]
+        x += drift
+        x += noise
+    acc = np.sqrt(c * dt) * xi[:, 0]
+    u = z * acc / math.sqrt(2.0)
+    return x[:, None], u[:, None]
+
+
+def nan_transport_gbm(steps, collapse_below=-np.inf):
+    """GBM(1, 0.05, 0.2, 1) whose transport turns NaN above x = 1.1.
+
+    Its drift Jacobian is NaN above 1.1, so a path that crosses 1.1 keeps
+    a NaN transport, which the collapse test must skip, as ``np.any``
+    does.  Below ``collapse_below`` the Jacobians are -steps/T and 0,
+    which zero the transport in one step.
+    """
+    gbm = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+
+    def drift_jacobian(x):
+        low = np.where(x < collapse_below, -float(steps), 0.05)
+        return np.where(x > 1.1, np.nan, low)[..., None]
+
+    return me.SdeModel(
+        dim_state=1,
+        dim_noise=1,
+        initial=gbm.initial,
+        horizon=gbm.horizon,
+        drift=gbm.drift,
+        diffusion=gbm.diffusion,
+        drift_jacobian=drift_jacobian,
+        diffusion_jacobians=(lambda x: np.where(x < collapse_below, 0.0, 0.2)[..., None],),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, steps, draws",
+    [("gbm_unit", 1024, 300), ("gbm_strong", 32, 500), ("nan_transport", 64, 400),
+     ("gbm_unit", 16, 0)],
+)
+def test_scalar_engine_matches_reference_bitwise(name, steps, draws):
+    model = {
+        "gbm_unit": lambda: me.make_gbm(1.0, 0.0, 1.0, 1.0),
+        "gbm_strong": lambda: me.make_gbm(1.0, 0.3, 2.5, 1.0),
+        "nan_transport": lambda: nan_transport_gbm(steps),
+    }[name]()
+    dw, xi = engine_increments(model, steps, draws, 7)
+    x, u = limit_law._scalar_batch(model, steps, dw, xi)
+    xr, ur = scalar_batch_reference(model, steps, dw, xi)
+    assert x.shape == u.shape == (draws, 1)
+    np.testing.assert_array_equal(x, xr)
+    np.testing.assert_array_equal(u, ur)
+    if name == "nan_transport":
+        assert np.isnan(u).any() and np.isfinite(u).any()
+
+
+@pytest.mark.parametrize("name", ["collapse", "nan_then_collapse"])
+def test_scalar_engine_and_reference_both_raise_on_collapse(name):
+    # in the second batch some transports are NaN when others collapse
+    steps = 64
+    model = collapsing_model(steps) if name == "collapse" else nan_transport_gbm(steps, 0.9)
+    dw, xi = engine_increments(model, steps, 400, 7)
+    for engine in (limit_law._scalar_batch, scalar_batch_reference):
+        with pytest.raises(me.DegenerateTransportError):
+            engine(model, steps, dw, xi)
+
+
+def count_engine_entries(monkeypatch, fail_on=None):
+    """Wrap both engines; return the list of concurrent-entry counts seen on entry.
+
+    Each wrapped call sleeps briefly inside, so overlapping engine calls
+    are caught.  A call whose batch has ``fail_on`` draws raises
+    ``DegenerateTransportError`` instead of running.
+    """
+    seen = []
+    inside = [0]
+    guard = threading.Lock()
+
+    def wrap(engine):
+        def counted(model, n_steps, dw, xi):
+            with guard:
+                inside[0] += 1
+                seen.append(inside[0])
+            try:
+                time.sleep(0.02)
+                if dw.shape[1] == fail_on:
+                    raise me.DegenerateTransportError("injected")
+                return engine(model, n_steps, dw, xi)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        return counted
+
+    for name in ("_scalar_batch", "_general_batch"):
+        monkeypatch.setattr(limit_law, name, wrap(getattr(limit_law, name)))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["gbm", "split_noise"])
+def test_engines_take_turns_with_more_chunks_than_threads(monkeypatch, split_noise_gbm, name):
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0) if name == "gbm" else split_noise_gbm
+    seen = count_engine_entries(monkeypatch)
+    # one step: 2**16 draws per chunk, so 5 chunks for 4 threads stay cheap
+    chunk = paths._chunk_size(model.dim_noise + model.dim_state)
+    me.limit_draws(model, 1, 4 * chunk + 3, 0, threads=4)
+    assert len(seen) == 5
+    assert max(seen) == 1
+
+
+def test_engine_error_propagates_and_releases_the_lane(monkeypatch):
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    chunk = paths._chunk_size(2)
+    draws = 4 * chunk + 3
+    # the last of the 5 chunks holds 3 draws and fails
+    count_engine_entries(monkeypatch, fail_on=3)
+    with pytest.raises(me.DegenerateTransportError, match="injected"):
+        me.limit_draws(model, 1, draws, 0, threads=4)
+    assert not limit_law._ENGINE_LANE.locked()
+    monkeypatch.undo()
+    done = []
+    # a lane left held would block this call forever, so it runs under a timeout
+    runner = threading.Thread(
+        target=lambda: done.append(me.limit_draws(model, 1, draws, 0, threads=4)), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert len(done) == 1 and done[0][0].shape == (draws, 1)
 
 
 def test_two_level_zero_coefficients_all_samples_zero():
