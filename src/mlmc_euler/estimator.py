@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,6 +103,12 @@ class LevelStats:
     ``variance`` is the unbiased (ddof = 1) sample variance and
     ``third_abs_moment`` the mean cubed absolute deviation from the
     level mean.  ``cost`` counts Euler sub-steps over all paths.
+
+    The moments are summed over fixed blocks of 2**16 values, in block
+    order and in two passes: the block sums give the mean, then each
+    block's centred squares and cubed absolute deviations are summed.
+    A level of at most 2**16 values is one block, which is numpy's
+    whole-array summation order.
     """
 
     level: int
@@ -293,22 +300,53 @@ def optimal_m_scan(
     return rows, m_star
 
 
+# Values per block of a level's reduction.  The blocks do not depend on
+# the chunk size or the thread count, so neither does the summation order.
+_REDUCE_BLOCK = 1 << 16
+
+
 def _level_statistics(values: np.ndarray, level: int, cost_per_path: int) -> LevelStats:
+    """Moments of one level's values, reduced in two passes over fixed blocks.
+
+    Pass 1 adds the block sums, in block order, for the mean.  Pass 2
+    centres each block in a reusable buffer and adds its sum of squares
+    and of cubed absolute values.  A level of one block gets the bits of
+    ``np.mean``, ``np.var(ddof=1)`` and the mean of ``np.power(|v - mean|, 3)``.
+    """
     count = values.shape[0]
-    mean = float(np.mean(values))
-    variance = float(np.var(values, ddof=1))
-    # computed in place: at level 0 each temporary is as large as the level
-    centered = values - mean
-    np.abs(centered, out=centered)
-    third = float(np.mean(np.power(centered, 3, out=centered)))
+    starts = range(0, count, _REDUCE_BLOCK)
+    total = 0.0
+    for a in starts:
+        total += np.sum(values[a : a + _REDUCE_BLOCK])
+    mean = total / count
+    centred = np.empty(min(count, _REDUCE_BLOCK))
+    square = np.empty_like(centred)
+    sum_sq = sum_cube = 0.0
+    for a in starts:
+        b = min(a + _REDUCE_BLOCK, count)
+        c = centred[: b - a]
+        np.subtract(values[a:b], mean, out=c)
+        sum_sq += np.sum(np.multiply(c, c, out=square[: b - a]))
+        np.abs(c, out=c)
+        sum_cube += np.sum(np.power(c, 3, out=c))
     return LevelStats(
         level=level,
         count=count,
-        mean=mean,
-        variance=variance,
-        third_abs_moment=third,
+        mean=float(mean),
+        variance=float(sum_sq / (count - 1)),
+        third_abs_moment=float(sum_cube / count),
         cost=count * cost_per_path,
     )
+
+
+def _write_values(payoff: Payoff, out: np.ndarray, a: int, b: int, x: np.ndarray) -> None:
+    out[a:b] = payoff.value(x)
+
+
+def _write_differences(
+    payoff: Payoff, out: np.ndarray, a: int, b: int, fine: np.ndarray, coarse: np.ndarray
+) -> None:
+    np.subtract(payoff.value(fine), payoff.value(coarse), out=out[a:b])
 
 
 def estimate(
@@ -327,9 +365,13 @@ def estimate(
     Each level (and the Richardson bias pilot) owns a disjoint key
     range derived from (master_seed, replication), so results are
     independent of thread count and identical across reruns.  The chunks
-    of all L + 1 levels run on one pool of ``threads`` workers; each
-    level is reduced on the calling thread, in level order, as soon as
-    its chunks are done.  Setting ``bias_pilot`` to 0 skips the pilot
+    of all L + 1 levels run on one pool of ``threads`` workers, and each
+    chunk writes its paths' payoff values, f(x) on level 0 and
+    f(fine) - f(coarse) above, into its slice of one array per level; no
+    terminal states are kept.  Each level is reduced on the calling
+    thread, in level order, as soon as its chunks are done: in blocks of
+    2**16 values, one pass for the mean and one for the centred moments
+    (see ``LevelStats``).  Setting ``bias_pilot`` to 0 skips the pilot
     and reports bias_proxy = None.
     """
     if not math.isclose(plan.horizon, model.horizon, rel_tol=1e-12):
@@ -338,33 +380,28 @@ def estimate(
         raise ValueError("bias_pilot must be >= 0")
     from .diagnostics import confidence_interval  # deferred: diagnostics imports this module
 
-    outputs = []
-    tasks = []
-    for lvl in range(plan.levels + 1):
-        if lvl == 0:
-            out, level_tasks = _single_tasks(
-                model, 1, plan.sample_sizes[0], master_seed,
-                slot=0, replication=replication, first_path=0, domain=DOMAIN_SINGLE,
-            )
-        else:
-            out, level_tasks = _coupled_tasks(
+    values = [np.empty(size) for size in plan.sample_sizes]
+    tasks = [
+        _single_tasks(
+            model, 1, plan.sample_sizes[0], master_seed, slot=0, replication=replication,
+            first_path=0, domain=DOMAIN_SINGLE, consume=partial(_write_values, payoff, values[0]),
+        )
+    ]
+    for lvl in range(1, plan.levels + 1):
+        tasks.append(
+            _coupled_tasks(
                 model, lvl, plan.m, plan.sample_sizes[lvl], master_seed,
                 replication=replication, first_path=0,
+                consume=partial(_write_differences, payoff, values[lvl]),
             )
-        outputs.append(out)
-        tasks.append(level_tasks)
+        )
 
     stats = []
 
     def reduce(lvl):
-        if lvl == 0:
-            values, cost_per_path = payoff.value(outputs[0]), 1
-        else:
-            fine, coarse = outputs[lvl]
-            values = payoff.value(fine) - payoff.value(coarse)
-            cost_per_path = plan.m**lvl + plan.m ** (lvl - 1)
-        outputs[lvl] = None
-        stats.append(_level_statistics(values, lvl, cost_per_path))
+        cost_per_path = 1 if lvl == 0 else plan.m**lvl + plan.m ** (lvl - 1)
+        stats.append(_level_statistics(values[lvl], lvl, cost_per_path))
+        values[lvl] = None
 
     try:
         _run_tasks(tasks, threads, reduce)

@@ -27,10 +27,15 @@ depend only on the per-path draw budget (``_chunk_size``), never on the
 thread count.  ``_run_tasks`` is the package's one scheduler: it runs
 all the tasks of a call on one thread pool, submitted in (group, chunk)
 order, and hands each group back to the calling thread, in group order,
-as soon as its chunks are done.  Every chunk writes its own slice of a
-preallocated output, so the result is bit-identical for any thread
-count.  ``estimate`` uses one group per level, so it reduces each level
-while the pool simulates the next ones.
+as soon as its chunks are done.  A chunk hands its terminals to a
+consumer that writes them, or values computed from them, into its own
+slice of a preallocated output, so the result is bit-identical for any
+thread count.  ``single_terminals`` and ``coupled_terminals`` keep the
+terminals.  ``estimate`` keeps only each level's payoff values, uses one
+group per level, and reduces each level on the calling thread while the
+pool simulates the next ones: in fixed blocks of 2**16 values, one pass
+for the mean and one for the centred moments, so the reduction order
+depends on neither the chunk size nor the thread count.
 """
 
 from __future__ import annotations
@@ -207,21 +212,24 @@ def _run_tasks(
 
     Tasks are submitted in (group, task) order to a single pool of
     ``threads`` workers (run inline when ``threads`` is 1 or there is at
-    most one task).  The calling thread waits for the groups in order and
-    calls ``done(i)`` as soon as group i has finished, while later groups
-    keep running.  ``groups[i]`` is then set to None, which releases the
+    most one task; ``threads`` below 1 is rejected).  The calling thread
+    waits for the groups in order and calls ``done(i)`` as soon as group
+    i has finished, while later groups keep running.  ``groups[i]`` is then set to None, which releases the
     outputs its tasks write to unless the caller still holds them.
 
     The first failing task in (group, task) order raises, whatever the
     thread count; the pool is shut down, with its pending tasks
     cancelled, before the exception propagates.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+
     def finish(i):
         groups[i] = None
         if done is not None:
             done(i)
 
-    if threads <= 1 or sum(len(group) for group in groups) <= 1:
+    if threads == 1 or sum(len(group) for group in groups) <= 1:
         for i in range(len(groups)):
             for task in groups[i]:
                 task()
@@ -247,22 +255,26 @@ def _single_tasks(
     replication: int,
     first_path: int,
     domain: int,
-) -> Tuple[np.ndarray, List[Task]]:
-    """Allocate ``single_terminals``' output and return it with its chunk tasks."""
+    consume: Callable[[int, int, np.ndarray], None],
+) -> List[Task]:
+    """Chunk tasks of ``single_terminals``: each calls ``consume(a, b, x)``.
+
+    ``x`` holds the terminal states (b - a, d) of paths [a, b) of the
+    batch, in a fresh array.
+    """
     if n_steps < 1 or n_paths < 0:
         raise ValueError("n_steps must be >= 1 and n_paths >= 0")
     q = model.dim_noise
     dt = model.horizon / n_steps
-    out = np.empty((n_paths, model.dim_state))
 
     def work(a, b):
         dw = normal_block(
             master_seed, domain, slot, replication, first_path + a, b - a, n_steps, q
         )
         dw *= math.sqrt(dt)
-        out[a:b] = _euler_batch(model, dt, dw, first_path + a)
+        consume(a, b, _euler_batch(model, dt, dw, first_path + a))
 
-    return out, _chunk_tasks(n_paths, _chunk_size(q * n_steps), work)
+    return _chunk_tasks(n_paths, _chunk_size(q * n_steps), work)
 
 
 def single_terminals(
@@ -277,9 +289,14 @@ def single_terminals(
     domain: int = DOMAIN_SINGLE,
 ) -> np.ndarray:
     """Terminal states of n_paths independent n_steps Euler paths, shape (n, d)."""
-    out, tasks = _single_tasks(
-        model, n_steps, n_paths, master_seed, slot, replication, first_path, domain
+
+    def keep(a, b, x):
+        out[a:b] = x
+
+    tasks = _single_tasks(
+        model, n_steps, n_paths, master_seed, slot, replication, first_path, domain, keep
     )
+    out = np.empty((n_paths, model.dim_state))
     _run_tasks([tasks], threads)
     return out
 
@@ -292,8 +309,13 @@ def _coupled_tasks(
     master_seed: int,
     replication: int,
     first_path: int,
-) -> Tuple[Tuple[np.ndarray, np.ndarray], List[Task]]:
-    """Allocate ``coupled_terminals``' outputs and return them with their chunk tasks."""
+    consume: Callable[[int, int, np.ndarray, np.ndarray], None],
+) -> List[Task]:
+    """Chunk tasks of ``coupled_terminals``: each calls ``consume(a, b, fine, coarse)``.
+
+    ``fine`` and ``coarse`` hold the terminal states (b - a, d) of paths
+    [a, b) of the batch, in fresh arrays.
+    """
     if level < 1:
         raise ValueError("level must be >= 1")
     if m < 2:
@@ -303,15 +325,13 @@ def _coupled_tasks(
     nc = m ** (level - 1)
     dtf = model.horizon / nf
     dtc = model.horizon / nc
-    fine = np.empty((n_paths, model.dim_state))
-    coarse = np.empty((n_paths, model.dim_state))
 
     def work(a, b):
         dw = normal_block(
             master_seed, DOMAIN_COUPLED, level, replication, first_path + a, b - a, nf, q
         )
         dw *= math.sqrt(dtf)
-        fine[a:b] = _euler_batch(model, dtf, dw, first_path + a)
+        fine = _euler_batch(model, dtf, dw, first_path + a)
         # Added left to right for any batch.  numpy's sum over the m axis
         # adds pairwise once m >= 8 if that axis is contiguous, which it is
         # for a one-path batch with q = 1, so a path's coarse leg would
@@ -320,9 +340,9 @@ def _coupled_tasks(
         dw_c = blocks[:, 0] + blocks[:, 1]
         for i in range(2, m):
             dw_c += blocks[:, i]
-        coarse[a:b] = _euler_batch(model, dtc, dw_c, first_path + a)
+        consume(a, b, fine, _euler_batch(model, dtc, dw_c, first_path + a))
 
-    return (fine, coarse), _chunk_tasks(n_paths, _chunk_size(q * nf), work)
+    return _chunk_tasks(n_paths, _chunk_size(q * nf), work)
 
 
 def coupled_terminals(
@@ -342,8 +362,15 @@ def coupled_terminals(
     increments, which is what makes the pair a coupling rather than two
     independent runs.  Returns arrays (n, d), (n, d).
     """
-    (fine, coarse), tasks = _coupled_tasks(
-        model, level, m, n_paths, master_seed, replication, first_path
+
+    def keep(a, b, f, c):
+        fine[a:b] = f
+        coarse[a:b] = c
+
+    tasks = _coupled_tasks(
+        model, level, m, n_paths, master_seed, replication, first_path, keep
     )
+    fine = np.empty((n_paths, model.dim_state))
+    coarse = np.empty((n_paths, model.dim_state))
     _run_tasks([tasks], threads)
     return fine, coarse

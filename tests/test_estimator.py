@@ -1,7 +1,9 @@
 """Allocation rules, cost accounting, m scan, and the estimator itself."""
 
+import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,3 +243,81 @@ def test_estimate_divergence_carries_level_context():
         assert err.value.level == 1
         assert "level 1" in str(err.value)
     assert errors[0] == errors[1]
+
+
+# ------------------------------------------------------ level moments
+
+
+def whole_array_level_stats(values, level, cost_per_path):
+    """The level moments as whole-array numpy formulas (the one-block reference)."""
+    mean = float(np.mean(values))
+    variance = float(np.var(values, ddof=1))
+    centered = values - mean
+    np.abs(centered, out=centered)
+    third = float(np.mean(np.power(centered, 3, out=centered)))
+    return me.LevelStats(
+        level=level,
+        count=values.shape[0],
+        mean=mean,
+        variance=variance,
+        third_abs_moment=third,
+        cost=values.shape[0] * cost_per_path,
+    )
+
+
+def rebuilt_level_stats(model, payoff, plan, seed, replication, level):
+    """A level's whole-array moments, from terminals drawn with the estimator's keys."""
+    size = plan.sample_sizes[level]
+    if level == 0:
+        terminals = me.single_terminals(model, 1, size, seed, slot=0, replication=replication)
+        return whole_array_level_stats(payoff.value(terminals), 0, 1)
+    fine, coarse = me.coupled_terminals(model, level, plan.m, size, seed, replication=replication)
+    values = payoff.value(fine) - payoff.value(coarse)
+    return whole_array_level_stats(values, level, plan.m**level + plan.m ** (level - 1))
+
+
+def test_single_block_levels_keep_whole_array_bits():
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    payoff = me.identity_payoff()
+    plan = me.plan_bak(64, 2, 1.0)
+    assert max(plan.sample_sizes) <= 1 << 16
+    report = me.estimate(model, payoff, plan, 0, replication=2, bias_pilot=0)
+    for level, stat in enumerate(report.level_stats):
+        assert stat == rebuilt_level_stats(model, payoff, plan, 0, 2, level)
+
+
+def test_multi_block_levels_match_whole_array_moments():
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    payoff = me.identity_payoff()
+    plan = me.plan_bak(256, 2, 1.0)
+    # level 0 is 26 blocks of 2**16 values, level 1 four
+    assert plan.sample_sizes[0] == 1_697_929
+    assert plan.sample_sizes[1] > 1 << 16
+    reports = [
+        me.estimate(model, payoff, plan, 0, replication=1, threads=threads, bias_pilot=0)
+        for threads in (1, 2, 8)
+    ]
+    # shortest round-trip floats: equal text means equal bits
+    texts = [json.dumps(report.to_json_dict()) for report in reports]
+    assert texts[0] == texts[1] == texts[2]
+    for level in (0, 1):
+        stat = reports[0].level_stats[level]
+        ref = rebuilt_level_stats(model, payoff, plan, 0, 1, level)
+        assert stat.count == ref.count and stat.cost == ref.cost
+        for name in ("mean", "variance", "third_abs_moment"):
+            assert getattr(stat, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=0)
+
+
+def test_estimate_peak_memory_is_one_value_per_path():
+    # no whole-level terminals or centred copies: the level value arrays
+    # (8 bytes per path) plus chunk and block buffers
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    plan = me.plan_bak(256, 2, 1.0)
+    budget = 1.5 * 8 * sum(plan.sample_sizes)
+    tracemalloc.start()
+    try:
+        me.estimate(model, me.identity_payoff(), plan, 0, threads=1, bias_pilot=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget

@@ -337,6 +337,22 @@ def test_coupled_terminals_thread_partition_is_bitwise():
     np.testing.assert_array_equal(c1, c8)
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_every_scheduled_call_rejects_threads_below_one(threads):
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    calls = [
+        lambda: me.estimate(
+            model, me.identity_payoff(), me.plan_bak(4, 2, 1.0), 0, threads=threads
+        ),
+        lambda: me.single_terminals(model, 2, 4, 0, threads=threads),
+        lambda: me.coupled_terminals(model, 2, 2, 4, 0, threads=threads),
+        lambda: me.limit_draws(model, 4, 4, 0, threads=threads),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            call()
+
+
 def assert_coupling_reconstructs(model, level, m, paths):
     """Rebuild both legs from ``normal_block``'s step-major normals, bitwise.
 
