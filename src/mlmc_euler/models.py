@@ -106,9 +106,14 @@ def make_gbm(x0: float, mu: float, vol: float, horizon: float) -> SdeModel:
     """Geometric Brownian motion dX = mu X dt + vol X dW as a 1-d model.
 
     ``vol`` may be zero, which yields the deterministic linear-drift
-    model used as a degenerate fixture; negative volatility and
-    non-positive x0 or horizon are rejected.
+    model used as a degenerate fixture; a non-finite parameter, negative
+    volatility and non-positive x0 or horizon are rejected.
     """
+    # comparisons alone would let NaN through (vol < 0 is False) and inf
+    # too (x0 > 0 is True)
+    for name, value in (("x0", x0), ("mu", mu), ("vol", vol), ("horizon", horizon)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite" % name)
     if not x0 > 0.0:
         raise ValueError("x0 must be positive")
     if not horizon > 0.0:

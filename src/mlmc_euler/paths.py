@@ -7,20 +7,32 @@ consumes depend only on its key, never on batch boundaries, worker
 count, or evaluation order.  Gaussian increments are produced by the
 inverse CDF applied to 53-bit uniforms offset to the midpoint of their
 lattice cell (one uint64 per variate), which keeps the per-path draw
-budget fixed and makes counter jumps exact.  Path p of a d-draw budget
-owns words [p * d, (p + 1) * d) of its stream, with no padding.  The
+budget fixed and makes counter jumps exact.
+
+An Euler path's steps are cut into step blocks of 64 steps, or of
+m * ceil(64 / m) fine steps for a coupled pair, so that a block holds
+whole coarse steps; the last block takes what is left.  Step block j
+reads its own stream: the key's Philox stream with counter word 2 set
+to j, so a path of at most one block reads block 0, the key's stream as
+it starts.  Path p of an s-step block of width q owns words
+[p * s * q, (p + 1) * s * q) of its stream, with no padding.  The
 generator advances in four-word blocks, so a call jumps to the block
 that holds its first word and drops the words of that block that belong
-to earlier paths.  Master seeds must lie in [0, 2**64); anything else is
-rejected rather than wrapped onto another seed's stream.
+to earlier paths.  A consumer that is not an Euler chunk (the limit
+law, the bracket check) asks for step block 0 of all its steps.  Master
+seeds must lie in [0, 2**64); anything else is rejected rather than
+wrapped onto another seed's stream.
 
 Layout contract: ``normal_block`` returns step-major normals, shape
 (steps, n, q), and every Euler kernel takes its Brownian increments in
 that layout, so each step reads one contiguous (n, q) slice.  Callers
 scale them by sqrt(dt) in place.  Only ``normal_block`` knows that the
-stream is addressed per path.  A consumer with no time steps (the limit
-law's second stream, the bracket check's whole paths) asks for one step
-and takes its (n, width) slice ``[0]``.
+stream is addressed per path.  The Euler chunks draw one step block at
+a time and step every leg through it before the next is drawn, so they
+hold one block of increments, however many steps their paths take.  A
+consumer with no time steps (the limit law's second stream, the bracket
+check's whole paths) asks for one step and takes its (n, width) slice
+``[0]``.
 
 Scheduling contract: a batch is split into chunk tasks whose boundaries
 depend only on the per-path draw budget (``_chunk_size``), never on the
@@ -116,23 +128,28 @@ def normal_block(
     n_paths: int,
     n_steps: int,
     width: int,
+    step_block: int = 0,
 ) -> np.ndarray:
     """Standard normals for paths [first_path, first_path + n_paths), step-major.
 
     Returns a C-contiguous array of shape (n_steps, n_paths, width):
-    step k of path p is ``out[k, p - first_path]``.  With d = n_steps *
-    width, path p reads words [p * d, (p + 1) * d) of its stream, step by
-    step, so any partition of a path range yields bit-identical numbers;
-    only the four-word blocks that hold these words are generated.  The
-    rows are drawn and transformed a block of paths at a time in one
-    buffer, and each block is written step-major while it is in cache.
+    step k of path p is ``out[k, p - first_path]``.  The words come from
+    the stream of step block ``step_block``, the key's Philox stream with
+    counter word 2 set to ``step_block``; block 0 is the key's stream as
+    it starts.  With d = n_steps * width, path p reads words
+    [p * d, (p + 1) * d) of that stream, step by step, so any partition
+    of a path range yields bit-identical numbers; only the four-word
+    blocks that hold these words are generated.  The rows are drawn and
+    transformed a block of paths at a time in one buffer, and each block
+    is written step-major while it is in cache.
     """
     d = n_steps * width
     first_word = first_path * d
     bg = _philox(master_seed, domain, slot, replication)
-    # advance() moves the counter in four-word blocks; the words of the
-    # first block that precede first_word are drawn and dropped
-    bg.advance(first_word // 4)
+    # advance() moves the 256-bit counter in four-word blocks, so 2**128
+    # of them add one to counter word 2; the words of the first block that
+    # precede first_word are drawn and dropped
+    bg.advance((step_block << 128) + first_word // 4)
     bg.random_raw(first_word % 4)
     gen = np.random.Generator(bg)
     out = np.empty((n_steps, n_paths, width))
@@ -158,40 +175,102 @@ def _euler_step(model, x: np.ndarray, dt: float, dw: np.ndarray, diff: np.ndarra
     return x + model.drift(x) * dt + np.einsum("nij,nj->ni", diff, dw)
 
 
-def _euler_batch(
-    model,
-    dt: float,
-    dw: np.ndarray,
-    first_path: int,
-) -> np.ndarray:
-    """Run the Euler recursion for a batch of paths.
+# Fine steps per step block of an Euler path (see the stream contract).
+_STEP_BLOCK = 64
 
-    ``dw`` is step-major, shape (steps, n, q): step k reads the
-    contiguous slice ``dw[k]``.  Returns terminal states (n, d).
-    Raises EulerDivergedError if any path ends non-finite; the first
-    such path is then re-run alone to report its first non-finite step.
+
+def _block_steps(m: int = 1) -> int:
+    """Fine steps per step block: m * ceil(64 / m), so it holds whole coarse steps."""
+    return m * -(-_STEP_BLOCK // m)
+
+
+def _step_blocks(key: tuple, n_steps: int, width: int, dt: float, block: int, first: int, n: int):
+    """The ``blocks`` argument of ``_euler_batch`` for paths [first, first + n) of ``key``.
+
+    ``key`` is (master_seed, domain, slot, replication).  Block j holds
+    steps [j * block, (j + 1) * block) of the paths, scaled by sqrt(dt).
+    Each block is released before the next is drawn, but the last one
+    lives as long as ``blocks``: a chunk that freed it before its consumer
+    ran would have glibc trim the heap and fault it back in on every small
+    ``estimate`` call (about 120 more minor faults per call at n = 64).
     """
-    steps, n, _ = dw.shape
-    # every path starts from the same state, so the first step evaluates
-    # the coefficients on one row and broadcasts them over the batch
-    x = model.initial[None, :]
-    for k in range(steps):
-        x = _euler_step(model, x, dt, dw[k], model.diffusion(x))
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        row = int(bad[0])
-        x = model.initial[None, :]
-        for k in range(steps):
-            x = _euler_step(model, x, dt, dw[k, row : row + 1], model.diffusion(x))
-            if not np.isfinite(x).all():
-                break
-        raise EulerDivergedError(step_index=k, path_index=first_path + row)
+    last = []
+
+    def blocks(row=None):
+        a, count = (first, n) if row is None else (first + row, 1)
+        for j, k in enumerate(range(0, n_steps, block)):
+            last.clear()
+            last.append(normal_block(*key, a, count, min(block, n_steps - k), width, step_block=j))
+            last[0] *= math.sqrt(dt)
+            yield last[0]
+
+    return blocks
+
+
+def _block_sums(dw: np.ndarray, m: int) -> np.ndarray:
+    """Sums of m consecutive steps of ``dw`` (s, n, q), added left to right."""
+    if m == 1:
+        return dw
+    # numpy's sum over the m axis adds pairwise once m >= 8 if that axis is
+    # contiguous, which it is for a one-path batch with q = 1, so a path's
+    # coarse leg would depend on the batch it is simulated in.
+    parts = dw.reshape(-1, m, *dw.shape[1:])
+    out = parts[:, 0] + parts[:, 1]
+    for i in range(2, m):
+        out += parts[:, i]
+    return out
+
+
+def _euler_steps(model, x: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+    """``x`` after one Euler step per increment slice ``dw[k]``, in order.
+
+    A function of its own so that its loop's last view of a block dies
+    with the call, before the next block is drawn.
+    """
+    for step in dw:
+        x = _euler_step(model, x, dt, step, model.diffusion(x))
     return x
 
 
+def _euler_batch(model, legs, blocks, first_path: int) -> List[np.ndarray]:
+    """Run the Euler recursion for a batch of paths, one step block at a time.
+
+    ``blocks()`` yields the batch's scaled fine increments a step block at
+    a time, step-major (s, n, q), and ``blocks(row)`` the same blocks of
+    that row alone, (s, 1, q).  Each leg (dt, m) steps with dt on the
+    sums of m consecutive fine increments; m = 1 is the fine leg.  Every
+    leg runs through a block before the next one is drawn.  Returns each
+    leg's terminal states (n, d).
+
+    Raises EulerDivergedError if any path ends non-finite: the lowest such
+    path of the first leg that has one is re-run alone, its blocks drawn
+    again, to report its first non-finite step.
+    """
+    # every path starts from the same state, so the first step evaluates
+    # the coefficients on one row and broadcasts them over the batch
+    xs = [model.initial[None, :]] * len(legs)
+    for dw in blocks():
+        for i, (dt, m) in enumerate(legs):
+            xs[i] = _euler_steps(model, xs[i], dt, _block_sums(dw, m))
+        del dw  # so that the next block is drawn with this one freed
+    for (dt, m), x in zip(legs, xs):
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        if bad.size:
+            row = int(bad[0])
+            x = model.initial[None, :]
+            steps = (step for dw in blocks(row) for step in _block_sums(dw, m))
+            for k, step in enumerate(steps):
+                x = _euler_step(model, x, dt, step, model.diffusion(x))
+                if not np.isfinite(x).all():
+                    break
+            raise EulerDivergedError(step_index=k, path_index=first_path + row)
+    return xs
+
+
 def _chunk_size(draws_per_path: int) -> int:
-    # A chunk holds its increments once, so this bounds them at ~32 MB
-    # (2**22 doubles) per chunk.
+    # About 2**22 draws per chunk, which sets the work of one task.  The
+    # Euler chunks hold one step block of them at a time; the limit law and
+    # the bracket check hold all of them, ~32 MB per chunk.
     return max(64, min(1 << 16, (1 << 22) // max(draws_per_path, 1)))
 
 
@@ -214,8 +293,9 @@ def _run_tasks(
     ``threads`` workers (run inline when ``threads`` is 1 or there is at
     most one task; ``threads`` below 1 is rejected).  The calling thread
     waits for the groups in order and calls ``done(i)`` as soon as group
-    i has finished, while later groups keep running.  ``groups[i]`` is then set to None, which releases the
-    outputs its tasks write to unless the caller still holds them.
+    i has finished, while later groups keep running.  ``groups[i]`` is
+    then set to None, which releases the outputs its tasks write to
+    unless the caller still holds them.
 
     The first failing task in (group, task) order raises, whatever the
     thread count; the pool is shut down, with its pending tasks
@@ -266,13 +346,11 @@ def _single_tasks(
         raise ValueError("n_steps must be >= 1 and n_paths >= 0")
     q = model.dim_noise
     dt = model.horizon / n_steps
+    key = (master_seed, domain, slot, replication)
 
     def work(a, b):
-        dw = normal_block(
-            master_seed, domain, slot, replication, first_path + a, b - a, n_steps, q
-        )
-        dw *= math.sqrt(dt)
-        consume(a, b, _euler_batch(model, dt, dw, first_path + a))
+        blocks = _step_blocks(key, n_steps, q, dt, _block_steps(), first_path + a, b - a)
+        consume(a, b, *_euler_batch(model, [(dt, 1)], blocks, first_path + a))
 
     return _chunk_tasks(n_paths, _chunk_size(q * n_steps), work)
 
@@ -323,24 +401,12 @@ def _coupled_tasks(
     q = model.dim_noise
     nf = m**level
     nc = m ** (level - 1)
-    dtf = model.horizon / nf
-    dtc = model.horizon / nc
+    legs = [(model.horizon / nf, 1), (model.horizon / nc, m)]
+    key = (master_seed, DOMAIN_COUPLED, level, replication)
 
     def work(a, b):
-        dw = normal_block(
-            master_seed, DOMAIN_COUPLED, level, replication, first_path + a, b - a, nf, q
-        )
-        dw *= math.sqrt(dtf)
-        fine = _euler_batch(model, dtf, dw, first_path + a)
-        # Added left to right for any batch.  numpy's sum over the m axis
-        # adds pairwise once m >= 8 if that axis is contiguous, which it is
-        # for a one-path batch with q = 1, so a path's coarse leg would
-        # depend on the batch it is simulated in.
-        blocks = dw.reshape(nc, m, b - a, q)
-        dw_c = blocks[:, 0] + blocks[:, 1]
-        for i in range(2, m):
-            dw_c += blocks[:, i]
-        consume(a, b, fine, _euler_batch(model, dtc, dw_c, first_path + a))
+        blocks = _step_blocks(key, nf, q, legs[0][0], _block_steps(m), first_path + a, b - a)
+        consume(a, b, *_euler_batch(model, legs, blocks, first_path + a))
 
     return _chunk_tasks(n_paths, _chunk_size(q * nf), work)
 
@@ -358,8 +424,8 @@ def coupled_terminals(
     """Fine and coarse terminal states driven by the same Brownian paths.
 
     The fine scheme takes m**level steps; the coarse scheme takes
-    m**(level-1) steps and consumes the exact block sums of the fine
-    increments, which is what makes the pair a coupling rather than two
+    m**(level-1) steps and consumes the exact sums of each m consecutive
+    fine increments, which is what makes the pair a coupling rather than two
     independent runs.  Returns arrays (n, d), (n, d).
     """
 

@@ -145,6 +145,25 @@ def test_estimate_rejects_unknown_ci_method(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        ("limit-var --samples 10 --grid-steps 4 --vol nan", "vol"),
+        ("limit-var --samples 10 --grid-steps 4 --mu inf", "mu"),
+        ("estimate --n 4 --vol nan", "vol"),
+        ("estimate --n 4 --x0 inf", "x0"),
+        ("estimate --n 4 --T inf", "horizon"),
+    ],
+)
+def test_non_finite_model_flags_exit_2_naming_the_parameter(capsys, argv, name):
+    # a NaN or inf parameter would reach the simulation: limit-var would
+    # print "variance": NaN, which is not JSON, and estimate would exit 3
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "%s must be finite" % name in err
+
+
 def test_estimate_divergence_maps_to_exit_3(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise EulerDivergedError(step_index=5, path_index=3, level=2)

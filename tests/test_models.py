@@ -42,6 +42,16 @@ def test_gbm_rejects_bad_params():
     me.make_gbm(1.0, 0.05, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("name", ["x0", "mu", "vol", "horizon"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gbm_rejects_non_finite_params(name, bad):
+    # NaN fails no comparison and +inf passes x0 > 0, so each is named
+    params = dict(x0=1.0, mu=0.05, vol=0.2, horizon=1.0)
+    params[name] = bad
+    with pytest.raises(ValueError, match="%s must be finite" % name):
+        me.make_gbm(**params)
+
+
 def test_identity_payoff():
     pay = me.identity_payoff()
     x = np.array([[1.5], [-0.25]])

@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri as scipy_ndtri
 
 import mlmc_euler as me
 from mlmc_euler import paths
@@ -15,6 +17,7 @@ from mlmc_euler.paths import (
     DOMAIN_SINGLE,
     EulerDivergedError,
     _euler_batch,
+    _step_blocks,
 )
 
 # sha256 of normal_block(0, DOMAIN_SINGLE, 0, 0, 3, 5, 1, d).tobytes() for
@@ -25,6 +28,42 @@ BLOCK_ALIGNED_SHA256 = {
     8: "f1befeb42d158bc234600522ecf0560daab3728c1b9bc112f094b386e710fea2",
     512: "60ebf66dded65541f0a8ce7ab14a26612afc3a74d7df7c68f90c195e7eb34460",
 }
+
+# sha256 of the terminals of GBM(1, 0.05, 0.2, 1) at seed 7, replication 2,
+# paths 5..1004, recorded before paths were cut into step blocks: a path of
+# at most one block (64 steps, and level 6 at m = 2) keeps its bytes
+ONE_BLOCK_SHA256 = {
+    "single 64 steps, slot 1": "bcc50d7b60cc6008f8fda041d52446e9d293639c859791d4800db1d6e17a2c9f",
+    "coupled level 6, m = 2": "5d18cd4b225c8c6c7b098af8d634b90506d30421280d2a95ba79bf7c79bdfac9",
+}
+
+
+def block_normals(seed, domain, slot, rep, first, n, n_steps, width, block):
+    """(n_steps, n, width) normals of paths cut into ``block``-step blocks.
+
+    Block j is ``normal_block(..., step_block=j)`` of its own steps; the
+    last block takes what is left.
+    """
+    return np.concatenate(
+        [
+            me.normal_block(
+                seed, domain, slot, rep, first, n, min(block, n_steps - k), width, step_block=j
+            )
+            for j, k in enumerate(range(0, n_steps, block))
+        ]
+    )
+
+
+def euler(model, dt, dw, first_path=0, cuts=()):
+    """The fine leg of ``_euler_batch`` fed ``dw`` (steps, n, q).
+
+    The steps come as one block, or cut into blocks before each step
+    index in ``cuts``.
+    """
+    parts = np.split(dw, list(cuts))
+    blocks = lambda row=None: [p if row is None else p[:, row : row + 1] for p in parts]
+    (x,) = _euler_batch(model, [(dt, 1)], blocks, first_path)
+    return x
 
 
 def explosive_model():
@@ -207,13 +246,17 @@ def test_normal_block_is_step_major_across_blocks(first):
 def test_euler_terminal_hand_computed_values():
     # two steps of 1 + x dW from x0=1: (1 + 0.5)(1 - 0.25)
     gbm = me.make_gbm(1.0, 0.0, 1.0, 1.0)
-    out = _euler_batch(gbm, 0.5, np.array([[[0.5]], [[-0.25]]]), 0)
+    out = euler(gbm, 0.5, np.array([[[0.5]], [[-0.25]]]))
     assert out.shape == (1, 1)
     assert out[0, 0] == 1.125
     # pure drift, four steps of rate 1: (1 + 1/4)**4
     ode = me.make_gbm(1.0, 1.0, 0.0, 1.0)
-    out = _euler_batch(ode, 0.25, np.zeros((4, 1, 1)), 0)
+    out = euler(ode, 0.25, np.zeros((4, 1, 1)))
     assert out[0, 0] == 2.44140625
+    # four steps of 1 + x dW, as one block and cut into blocks three ways
+    dw = np.array([[[0.5]], [[-0.25]], [[0.125]], [[1.0]]])
+    for cuts in ((), (1, 2, 3), (3,), (2,)):
+        assert euler(gbm, 0.25, dw, cuts=cuts)[0, 0] == 1.5 * 0.75 * 1.125 * 2.0
 
 
 def test_euler_terminal_shape_validation():
@@ -228,7 +271,7 @@ def test_euler_terminal_shape_validation():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_euler_divergence_reports_step_and_path():
     with pytest.raises(EulerDivergedError) as err:
-        _euler_batch(explosive_model(), 0.5, np.zeros((2, 3, 1)), 5)
+        euler(explosive_model(), 0.5, np.zeros((2, 3, 1)), 5)
     assert err.value.step_index == 1
     assert err.value.path_index == 5
     assert err.value.level is None
@@ -236,6 +279,10 @@ def test_euler_divergence_reports_step_and_path():
     # the same (path, step) as the per-row recursion gives
     row, step = reference_divergence(explosive_model(), 0.5, np.zeros((2, 3, 1)))
     assert (err.value.path_index, err.value.step_index) == (5 + row, step)
+    # fed one step per block, the locator counts steps across blocks
+    with pytest.raises(EulerDivergedError) as err:
+        euler(explosive_model(), 0.5, np.zeros((2, 3, 1)), 5, cuts=(1,))
+    assert (err.value.path_index, err.value.step_index) == (5, 1)
 
 
 def reference_euler(model, dt, dw):
@@ -277,34 +324,55 @@ def linear_2d_model():
 
 
 def test_euler_batch_matches_per_row_reference(split_noise_gbm):
-    # the shared start evaluates the coefficients once; bitwise the same
+    # the shared start evaluates the coefficients once; bitwise the same,
+    # whether the steps come as one block or as blocks of 4
     gbm = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    for model, n_steps in ((gbm, 1), (gbm, 7), (split_noise_gbm, 5), (linear_2d_model(), 6)):
+    cases = ((gbm, 1), (gbm, 7), (split_noise_gbm, 5), (linear_2d_model(), 6), (gbm, 10))
+    for model, n_steps in cases:
         q = model.dim_noise
         dt = model.horizon / n_steps
         dw = me.normal_block(11, DOMAIN_SINGLE, 0, 0, 0, 300, n_steps, q)
         dw *= math.sqrt(dt)
-        out = _euler_batch(model, dt, dw, 0)
+        out = euler(model, dt, dw)
         assert out.shape == (300, model.dim_state)
         np.testing.assert_array_equal(out, reference_euler(model, dt, dw))
+        key = (11, DOMAIN_SINGLE, 0, 0)
+        (x,) = _euler_batch(model, [(dt, 1)], _step_blocks(key, n_steps, q, dt, 4, 0, 300), 0)
+        dw = math.sqrt(dt) * block_normals(*key, 0, 300, n_steps, q, 4)
+        np.testing.assert_array_equal(x, reference_euler(model, dt, dw))
 
 
 def test_batch_divergence_locates_offending_path():
     # X^n_k = W_{t_k} until it first exceeds the level; the step after
     # that is the first non-finite one.  The error names the lowest
     # diverged row, offset by first_path, and that row's first bad step.
-    level, n_steps, n_paths, first_path = 1.5, 8, 64, 3
-    z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, first_path, n_paths, 1, n_steps)[0]
-    w = np.cumsum(math.sqrt(1.0 / n_steps) * z, axis=1)[:, :-1]
-    row = int(np.flatnonzero((w > level).any(axis=1))[0])
-    step = int(np.flatnonzero(w[row] > level)[0]) + 1
-    assert row > 0 and step > 0
-    with pytest.raises(EulerDivergedError) as err:
-        me.single_terminals(
-            threshold_model(level), n_steps, n_paths, 0, first_path=first_path, threads=2
-        )
-    assert err.value.path_index == first_path + row
-    assert err.value.step_index == step
+    # The last two cases diverge past the first step block (64 steps, and
+    # 66 for the fine leg of a coupled pair at m = 3), so the locator draws
+    # the row again block by block.
+    level, n_paths, first_path = 1.5, 64, 3
+    for n_steps, m in ((8, None), (200, None), (243, 3)):
+        if m is None:
+            key, block = (0, DOMAIN_SINGLE, 0, 0), 64
+        else:
+            key, block = (0, DOMAIN_COUPLED, round(math.log(n_steps, m)), 0), 66
+        z = block_normals(*key, first_path, n_paths, n_steps, 1, block)[:, :, 0].T
+        w = np.cumsum(math.sqrt(1.0 / n_steps) * z, axis=1)[:, :-1]
+        row = int(np.flatnonzero((w > level).any(axis=1))[0])
+        step = int(np.flatnonzero(w[row] > level)[0]) + 1
+        assert row > 0 and step > 0
+        assert (step >= block) == (n_steps > block)
+        with pytest.raises(EulerDivergedError) as err:
+            if m is None:
+                me.single_terminals(
+                    threshold_model(level), n_steps, n_paths, 0, first_path=first_path, threads=2
+                )
+            else:
+                me.coupled_terminals(
+                    threshold_model(level), key[2], m, n_paths, 0, first_path=first_path,
+                    threads=2,
+                )
+        assert err.value.path_index == first_path + row
+        assert err.value.step_index == step
 
 
 # -------------------------------------------------- batch simulations
@@ -354,22 +422,22 @@ def test_every_scheduled_call_rejects_threads_below_one(threads):
 
 
 def assert_coupling_reconstructs(model, level, m, paths):
-    """Rebuild both legs from ``normal_block``'s step-major normals, bitwise.
+    """Rebuild both legs from step-block-addressed normals, bitwise.
 
-    Step k holds every path's q increments of that step; the fine leg
-    takes them scaled by sqrt(dt), and the coarse leg the sums of m fine
-    steps.
+    The fine steps come in blocks of m * ceil(64 / m), block j from
+    ``normal_block(..., step_block=j)``.  Step k holds every path's q
+    increments of that step; the fine leg takes them scaled by sqrt(dt),
+    and the coarse leg the sums of m fine steps.
     """
     q = model.dim_noise
     nf, nc = m**level, m ** (level - 1)
     dtf = model.horizon / nf
     fine, coarse = me.coupled_terminals(model, level, m, paths, 7, replication=3)
-    dw = math.sqrt(dtf) * me.normal_block(7, DOMAIN_COUPLED, level, 3, 0, paths, nf, q)
+    block = m * math.ceil(64 / m)
+    dw = math.sqrt(dtf) * block_normals(7, DOMAIN_COUPLED, level, 3, 0, paths, nf, q, block)
     dw_coarse = dw.reshape(nc, m, paths, q).sum(axis=1)
-    np.testing.assert_array_equal(_euler_batch(model, dtf, dw, 0), fine)
-    np.testing.assert_array_equal(
-        _euler_batch(model, model.horizon / nc, dw_coarse, 0), coarse
-    )
+    np.testing.assert_array_equal(euler(model, dtf, dw), fine)
+    np.testing.assert_array_equal(euler(model, model.horizon / nc, dw_coarse), coarse)
 
 
 def test_coupling_consumes_block_sums_of_fine_increments():
@@ -380,8 +448,97 @@ def test_coupling_consumes_block_sums_of_fine_increments():
 
 def test_split_noise_coupling_consumes_block_sums(split_noise_gbm):
     # q = 2: each step reads two consecutive draws of the path's row
-    for level, m in ((1, 2), (3, 2), (2, 3)):
+    for level, m in ((1, 2), (3, 2), (2, 3), (7, 2)):
         assert_coupling_reconstructs(split_noise_gbm, level, m, 16)
+
+
+# --------------------------------------------------------- step blocks
+
+
+def test_step_block_is_counter_word_two():
+    # block j is the key's Philox stream with its counter at (0, 0, j, 0);
+    # path p of an s-step block reads words [p s q, (p + 1) s q) of it
+    n, s, q, first = 7, 5, 2, 3
+    for j in (0, 1, 6):
+        bg = paths._philox(9, DOMAIN_SINGLE, 4, 1)
+        state = bg.state
+        state["state"]["counter"] = np.array([0, 0, j, 0], dtype=np.uint64)
+        bg.state = state
+        words = bg.random_raw((first + n) * s * q)[first * s * q :]
+        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+        expect = scipy_ndtri(u).reshape(n, s, q).transpose(1, 0, 2)
+        z = me.normal_block(9, DOMAIN_SINGLE, 4, 1, first, n, s, q, step_block=j)
+        np.testing.assert_array_equal(z, expect)
+
+
+@pytest.mark.parametrize("n_steps", [65, 128, 512])
+def test_single_paths_read_their_step_blocks(n_steps):
+    # blocks of 64 steps, the last one short at 65 steps
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    dt = model.horizon / n_steps
+    x = me.single_terminals(model, n_steps, 40, 7, slot=2, replication=3, first_path=5)
+    dw = math.sqrt(dt) * block_normals(7, DOMAIN_SINGLE, 2, 3, 5, 40, n_steps, 1, 64)
+    np.testing.assert_array_equal(x, reference_euler(model, dt, dw))
+
+
+@pytest.mark.parametrize("level, m", [(7, 2), (9, 2), (4, 3), (3, 7)])
+def test_coupled_paths_read_their_step_blocks(level, m):
+    # fine blocks of 64 at m = 2, of 66 at m = 3 (81 = 66 + 15 steps) and
+    # of 70 at m = 7 (343 = 4 * 70 + 63), each holding whole coarse steps
+    assert_coupling_reconstructs(me.make_gbm(1.0, 0.05, 0.2, 1.0), level, m, 16)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_BLOCK_SHA256))
+def test_paths_of_one_block_keep_their_bytes(name):
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    if name.startswith("single"):
+        out = me.single_terminals(model, 64, 1000, 7, slot=1, replication=2, first_path=5)
+    else:
+        fine, coarse = me.coupled_terminals(model, 6, 2, 1000, 7, replication=2, first_path=5)
+        out = np.concatenate([fine, coarse])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == ONE_BLOCK_SHA256[name]
+
+
+def test_step_blocks_are_thread_and_partition_invariant():
+    # 8500 paths of 513 steps are two chunks (8176 paths each) of nine
+    # step blocks; level 6 at m = 3 is 729 = 11 * 66 + 3 fine steps in two
+    # chunks (5753 paths each).  Any thread count, and any split of the
+    # paths into calls, gives the same bytes.
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    one = me.single_terminals(model, 513, 8500, 4, threads=1)
+    for threads in (2, 8):
+        np.testing.assert_array_equal(me.single_terminals(model, 513, 8500, 4, threads=threads), one)
+    head = me.single_terminals(model, 513, 8177, 4)
+    tail = me.single_terminals(model, 513, 323, 4, first_path=8177)
+    np.testing.assert_array_equal(np.concatenate([head, tail]), one)
+
+    fine, coarse = me.coupled_terminals(model, 6, 3, 6000, 4, threads=1)
+    for threads in (2, 8):
+        f, c = me.coupled_terminals(model, 6, 3, 6000, 4, threads=threads)
+        np.testing.assert_array_equal(f, fine)
+        np.testing.assert_array_equal(c, coarse)
+    for first, n in ((0, 1), (1, 5752), (5753, 247)):
+        f, c = me.coupled_terminals(model, 6, 3, n, 4, first_path=first)
+        np.testing.assert_array_equal(f, fine[first : first + n])
+        np.testing.assert_array_equal(c, coarse[first : first + n])
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_euler_chunk_memory_does_not_grow_with_the_steps(coupled):
+    # one 8192-path chunk of 512 fine steps holds one 64-step block of
+    # increments (4 MiB), not all 512 steps (32 MiB); the coupled pair
+    # adds the block's coarse sums
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    tracemalloc.start()
+    try:
+        if coupled:
+            me.coupled_terminals(model, 9, 2, 8192, 0, threads=1)
+        else:
+            me.single_terminals(model, 512, 8192, 0, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_split_noise_weak_mean_is_exact_binomial(split_noise_gbm):
