@@ -23,7 +23,7 @@ from scipy.special import ndtr, ndtri
 
 from .estimator import EstimateReport, LevelStats, MlmcPlan, estimate
 from .models import Payoff, SdeModel
-from .paths import DOMAIN_BRACKET, _chunk_size, _chunk_tasks, _run_tasks, normal_block
+from .paths import DOMAIN_BRACKET, _chunk_tasks, _run_tasks, normal_block
 
 __all__ = [
     "CltExperiment",
@@ -166,7 +166,7 @@ def bracket_expectation_check(
         diffs = w[:, k] - w[:, (k // m) * m]
         values[a:b] = np.sum(diffs**2, axis=1) * dt_fine
 
-    _run_tasks([_chunk_tasks(samples, _chunk_size(fine_steps), work)], threads)
+    _run_tasks([_chunk_tasks(samples, fine_steps, work)], threads)
     return float(np.mean(values)), target
 
 
@@ -323,6 +323,7 @@ def coverage_experiment(
     """
     if replications < 1:
         raise ValueError("need at least 1 replication")
+    confidence_interval(0.0, 0.0, confidence)  # a bad one fails before any replication
     methods = ("clt", "chebyshev")
     hits = {method: 0 for method in methods}
     radius_sum = {method: 0.0 for method in methods}

@@ -28,11 +28,9 @@ import numpy as np
 from .models import Payoff, SdeModel
 from .paths import (
     DOMAIN_PILOT,
-    DOMAIN_SINGLE,
     EulerDivergedError,
-    _coupled_tasks,
+    _level_tasks,
     _run_tasks,
-    _single_tasks,
     coupled_terminals,  # unused here, but perfbench/spans.py rebinds this name
     single_terminals,
 )
@@ -263,12 +261,14 @@ def plan_giles(
     )
 
 
+def _path_cost(m: int, level: int) -> int:
+    """Euler sub-steps of one level-``level`` path: 1 on level 0, m**l + m**(l-1) above."""
+    return 1 if level == 0 else m**level + m ** (level - 1)
+
+
 def complexity(plan: MlmcPlan) -> int:
     """Total Euler sub-steps the plan will consume."""
-    total = plan.sample_sizes[0]
-    for lvl in range(1, plan.levels + 1):
-        total += plan.sample_sizes[lvl] * (plan.m**lvl + plan.m ** (lvl - 1))
-    return total
+    return sum(size * _path_cost(plan.m, lvl) for lvl, size in enumerate(plan.sample_sizes))
 
 
 def asymptotic_cost_constant(m: int, horizon: float = 1.0) -> float:
@@ -339,14 +339,14 @@ def _level_statistics(values: np.ndarray, level: int, cost_per_path: int) -> Lev
     )
 
 
-def _write_values(payoff: Payoff, out: np.ndarray, a: int, b: int, x: np.ndarray) -> None:
-    out[a:b] = payoff.value(x)
-
-
-def _write_differences(
-    payoff: Payoff, out: np.ndarray, a: int, b: int, fine: np.ndarray, coarse: np.ndarray
+def _write_values(
+    payoff: Payoff, out: np.ndarray, a: int, b: int, fine: np.ndarray, coarse=None
 ) -> None:
-    np.subtract(payoff.value(fine), payoff.value(coarse), out=out[a:b])
+    """f(fine) into out[a:b] on level 0, f(fine) - f(coarse) on a coupled level."""
+    if coarse is None:
+        out[a:b] = payoff.value(fine)
+    else:
+        np.subtract(payoff.value(fine), payoff.value(coarse), out=out[a:b])
 
 
 def estimate(
@@ -364,15 +364,17 @@ def estimate(
 
     Each level (and the Richardson bias pilot) owns a disjoint key
     range derived from (master_seed, replication), so results are
-    independent of thread count and identical across reruns.  The chunks
-    of all L + 1 levels run on one pool of ``threads`` workers, and each
-    chunk writes its paths' payoff values, f(x) on level 0 and
-    f(fine) - f(coarse) above, into its slice of one array per level; no
-    terminal states are kept.  Each level is reduced on the calling
-    thread, in level order, as soon as its chunks are done: in blocks of
-    2**16 values, one pass for the mean and one for the centred moments
-    (see ``LevelStats``).  Setting ``bias_pilot`` to 0 skips the pilot
-    and reports bias_proxy = None.
+    independent of thread count and identical across reruns; the level
+    keys are set in ``paths._level_tasks``, which builds each level's
+    chunks.  A bad ``confidence`` or ``ci_method`` is rejected before any
+    path is drawn.  The chunks of all L + 1 levels run on one pool of
+    ``threads`` workers, and each chunk writes its paths' payoff values,
+    f(x) on level 0 and f(fine) - f(coarse) above, into its slice of one
+    array per level; no terminal states are kept.  Each level is reduced
+    on the calling thread, in level order, as soon as its chunks are
+    done: in blocks of 2**16 values, one pass for the mean and one for
+    the centred moments (see ``LevelStats``).  Setting ``bias_pilot`` to
+    0 skips the pilot and reports bias_proxy = None.
     """
     if not math.isclose(plan.horizon, model.horizon, rel_tol=1e-12):
         raise ValueError("plan horizon does not match the model horizon")
@@ -380,27 +382,19 @@ def estimate(
         raise ValueError("bias_pilot must be >= 0")
     from .diagnostics import confidence_interval  # deferred: diagnostics imports this module
 
+    confidence_interval(0.0, 0.0, confidence, ci_method)  # bad ones fail before any path
     values = [np.empty(size) for size in plan.sample_sizes]
     tasks = [
-        _single_tasks(
-            model, 1, plan.sample_sizes[0], master_seed, slot=0, replication=replication,
-            first_path=0, domain=DOMAIN_SINGLE, consume=partial(_write_values, payoff, values[0]),
+        _level_tasks(
+            model, lvl, plan.m, size, master_seed, replication, 0,
+            partial(_write_values, payoff, values[lvl]),
         )
+        for lvl, size in enumerate(plan.sample_sizes)
     ]
-    for lvl in range(1, plan.levels + 1):
-        tasks.append(
-            _coupled_tasks(
-                model, lvl, plan.m, plan.sample_sizes[lvl], master_seed,
-                replication=replication, first_path=0,
-                consume=partial(_write_differences, payoff, values[lvl]),
-            )
-        )
-
     stats = []
 
     def reduce(lvl):
-        cost_per_path = 1 if lvl == 0 else plan.m**lvl + plan.m ** (lvl - 1)
-        stats.append(_level_statistics(values[lvl], lvl, cost_per_path))
+        stats.append(_level_statistics(values[lvl], lvl, _path_cost(plan.m, lvl)))
         values[lvl] = None
 
     try:

@@ -50,7 +50,6 @@ from .models import Payoff, SdeModel
 from .paths import (
     DOMAIN_LIMIT_B,
     DOMAIN_LIMIT_W,
-    _chunk_size,
     _chunk_tasks,
     _euler_step,
     _run_tasks,
@@ -245,7 +244,7 @@ def limit_draws(
         with lane:
             x_out[a:b], u_out[a:b] = engine(model, n_steps, dw, xi)
 
-    tasks = _chunk_tasks(n_draws, _chunk_size(q * n_steps + d), work)
+    tasks = _chunk_tasks(n_draws, q * n_steps + d, work)
     lane = _ENGINE_LANE if len(tasks) > threads else nullcontext()
     _run_tasks([tasks], threads)
     return x_out, u_out

@@ -21,7 +21,9 @@ that holds its first word and drops the words of that block that belong
 to earlier paths.  A consumer that is not an Euler chunk (the limit
 law, the bracket check) asks for step block 0 of all its steps.  Master
 seeds must lie in [0, 2**64); anything else is rejected rather than
-wrapped onto another seed's stream.
+wrapped onto another seed's stream, and so is a negative path, a step
+block outside [0, 2**128) or a word past 2**130 of a step block's
+stream.
 
 Layout contract: ``normal_block`` returns step-major normals, shape
 (steps, n, q), and every Euler kernel takes its Brownian increments in
@@ -34,15 +36,19 @@ consumer with no time steps (the limit law's second stream, the bracket
 check's whole paths) asks for one step and takes its (n, width) slice
 ``[0]``.
 
-Scheduling contract: a batch is split into chunk tasks whose boundaries
-depend only on the per-path draw budget (``_chunk_size``), never on the
-thread count.  ``_run_tasks`` is the package's one scheduler: it runs
-all the tasks of a call on one thread pool, submitted in (group, chunk)
-order, and hands each group back to the calling thread, in group order,
-as soon as its chunks are done.  A chunk hands its terminals to a
-consumer that writes them, or values computed from them, into its own
-slice of a preallocated output, so the result is bit-identical for any
-thread count.  ``single_terminals`` and ``coupled_terminals`` keep the
+Scheduling contract: a batch is split into chunk tasks (``_chunk_tasks``)
+whose boundaries depend only on the per-path draw budget
+(``_chunk_size``), never on the thread count.  ``_euler_tasks`` is the
+one builder of Euler chunk tasks, for a fine leg alone or a coupled
+fine/coarse pair, and ``_level_tasks`` is the one place that maps a
+level of the multilevel telescope to its key, step count and legs.
+``_run_tasks`` is the package's one scheduler: it runs all the tasks of
+a call on one thread pool, submitted in (group, chunk) order, and hands
+each group back to the calling thread, in group order, as soon as its
+chunks are done.  A chunk hands its terminals to a consumer that writes
+them, or values computed from them, into its own slice of a
+preallocated output, so the result is bit-identical for any thread
+count.  ``single_terminals`` and ``coupled_terminals`` keep the
 terminals.  ``estimate`` keeps only each level's payoff values, uses one
 group per level, and reduces each level on the calling thread while the
 pool simulates the next ones: in fixed blocks of 2**16 values, one pass
@@ -145,6 +151,14 @@ def normal_block(
     """
     d = n_steps * width
     first_word = first_path * d
+    # counter words 0-1 address a step block's 2**130 words and words 2-3
+    # the step block; an address past either would wrap onto other words
+    if first_path < 0:
+        raise ValueError("first_path must be >= 0")
+    if not 0 <= step_block < 1 << 128:
+        raise ValueError("step_block must lie in [0, 2**128)")
+    if first_word + n_paths * d > 1 << 130:
+        raise ValueError("the paths run past word 2**130 of their step block's stream")
     bg = _philox(master_seed, domain, slot, replication)
     # advance() moves the 256-bit counter in four-word blocks, so 2**128
     # of them add one to counter word 2; the words of the first block that
@@ -277,8 +291,9 @@ def _chunk_size(draws_per_path: int) -> int:
 Task = Callable[[], None]
 
 
-def _chunk_tasks(n_paths: int, chunk: int, work) -> List[Task]:
-    """``work(a, b)`` over [0, n_paths) as one task per fixed chunk."""
+def _chunk_tasks(n_paths: int, draws_per_path: int, work) -> List[Task]:
+    """``work(a, b)`` over [0, n_paths) as one task per chunk of ``_chunk_size`` paths."""
+    chunk = _chunk_size(draws_per_path)
     return [partial(work, a, min(a + chunk, n_paths)) for a in range(0, n_paths, chunk)]
 
 
@@ -326,33 +341,60 @@ def _run_tasks(
         pool.shutdown(cancel_futures=True)
 
 
-def _single_tasks(
-    model,
-    n_steps: int,
-    n_paths: int,
-    master_seed: int,
-    slot: int,
-    replication: int,
-    first_path: int,
-    domain: int,
-    consume: Callable[[int, int, np.ndarray], None],
+def _euler_tasks(
+    model, key: tuple, n_steps: int, m: int, n_paths: int, first_path: int, consume
 ) -> List[Task]:
-    """Chunk tasks of ``single_terminals``: each calls ``consume(a, b, x)``.
+    """Chunk tasks of paths [first_path, first_path + n_paths) of ``key``.
 
-    ``x`` holds the terminal states (b - a, d) of paths [a, b) of the
-    batch, in a fresh array.
+    Each task runs the fine leg of n_steps steps, and with m >= 2 the
+    coarse leg of n_steps / m steps on the sums of m consecutive fine
+    increments, then calls ``consume(a, b, *terminals)``: one fresh array
+    (b - a, d) per leg, for paths [a, b) of the batch.
     """
     if n_steps < 1 or n_paths < 0:
         raise ValueError("n_steps must be >= 1 and n_paths >= 0")
-    q = model.dim_noise
     dt = model.horizon / n_steps
-    key = (master_seed, domain, slot, replication)
+    legs = [(dt, 1)] if m == 1 else [(dt, 1), (model.horizon / (n_steps // m), m)]
+    q = model.dim_noise
 
     def work(a, b):
-        blocks = _step_blocks(key, n_steps, q, dt, _block_steps(), first_path + a, b - a)
-        consume(a, b, *_euler_batch(model, [(dt, 1)], blocks, first_path + a))
+        blocks = _step_blocks(key, n_steps, q, dt, _block_steps(m), first_path + a, b - a)
+        consume(a, b, *_euler_batch(model, legs, blocks, first_path + a))
 
-    return _chunk_tasks(n_paths, _chunk_size(q * n_steps), work)
+    return _chunk_tasks(n_paths, q * n_steps, work)
+
+
+def _level_tasks(
+    model, level: int, m: int, n_paths: int, master_seed: int, replication: int,
+    first_path: int, consume,
+) -> List[Task]:
+    """Chunk tasks of level ``level`` of the multilevel telescope.
+
+    The one place that keys a level: level 0 is one-step paths on slot 0
+    of ``DOMAIN_SINGLE``; level l >= 1 is coupled pairs of m**l and
+    m**(l-1) steps on slot l of ``DOMAIN_COUPLED``.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    if level == 0:
+        key = (master_seed, DOMAIN_SINGLE, 0, replication)
+        return _euler_tasks(model, key, 1, 1, n_paths, first_path, consume)
+    key = (master_seed, DOMAIN_COUPLED, level, replication)
+    return _euler_tasks(model, key, m**level, m, n_paths, first_path, consume)
+
+
+def _terminals(model, n_paths: int, n_legs: int, threads: int, build) -> List[np.ndarray]:
+    """Each leg's terminal states (n, d), from tasks built (and checked) before them."""
+    outs = []
+
+    def keep(a, b, *xs):
+        for out, x in zip(outs, xs):
+            out[a:b] = x
+
+    tasks = build(keep)
+    outs += [np.empty((n_paths, model.dim_state)) for _ in range(n_legs)]
+    _run_tasks([tasks], threads)
+    return outs
 
 
 def single_terminals(
@@ -367,48 +409,10 @@ def single_terminals(
     domain: int = DOMAIN_SINGLE,
 ) -> np.ndarray:
     """Terminal states of n_paths independent n_steps Euler paths, shape (n, d)."""
-
-    def keep(a, b, x):
-        out[a:b] = x
-
-    tasks = _single_tasks(
-        model, n_steps, n_paths, master_seed, slot, replication, first_path, domain, keep
-    )
-    out = np.empty((n_paths, model.dim_state))
-    _run_tasks([tasks], threads)
+    key = (master_seed, domain, slot, replication)
+    build = partial(_euler_tasks, model, key, n_steps, 1, n_paths, first_path)
+    (out,) = _terminals(model, n_paths, 1, threads, build)
     return out
-
-
-def _coupled_tasks(
-    model,
-    level: int,
-    m: int,
-    n_paths: int,
-    master_seed: int,
-    replication: int,
-    first_path: int,
-    consume: Callable[[int, int, np.ndarray, np.ndarray], None],
-) -> List[Task]:
-    """Chunk tasks of ``coupled_terminals``: each calls ``consume(a, b, fine, coarse)``.
-
-    ``fine`` and ``coarse`` hold the terminal states (b - a, d) of paths
-    [a, b) of the batch, in fresh arrays.
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    q = model.dim_noise
-    nf = m**level
-    nc = m ** (level - 1)
-    legs = [(model.horizon / nf, 1), (model.horizon / nc, m)]
-    key = (master_seed, DOMAIN_COUPLED, level, replication)
-
-    def work(a, b):
-        blocks = _step_blocks(key, nf, q, legs[0][0], _block_steps(m), first_path + a, b - a)
-        consume(a, b, *_euler_batch(model, legs, blocks, first_path + a))
-
-    return _chunk_tasks(n_paths, _chunk_size(q * nf), work)
 
 
 def coupled_terminals(
@@ -428,15 +432,8 @@ def coupled_terminals(
     fine increments, which is what makes the pair a coupling rather than two
     independent runs.  Returns arrays (n, d), (n, d).
     """
-
-    def keep(a, b, f, c):
-        fine[a:b] = f
-        coarse[a:b] = c
-
-    tasks = _coupled_tasks(
-        model, level, m, n_paths, master_seed, replication, first_path, keep
-    )
-    fine = np.empty((n_paths, model.dim_state))
-    coarse = np.empty((n_paths, model.dim_state))
-    _run_tasks([tasks], threads)
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    build = partial(_level_tasks, model, level, m, n_paths, master_seed, replication, first_path)
+    fine, coarse = _terminals(model, n_paths, 2, threads, build)
     return fine, coarse

@@ -146,6 +146,24 @@ def test_estimate_rejects_unknown_ci_method(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "estimate --n 512 --confidence 1.5",
+        "verify coverage --n 16 --replications 20 --confidence 1.5",
+    ],
+)
+def test_bad_confidence_exits_2_before_any_path_is_drawn(capsys, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking --confidence")
+
+    monkeypatch.setattr(me.estimator, "_run_tasks", no_run)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "confidence" in err
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         ("limit-var --samples 10 --grid-steps 4 --vol nan", "vol"),

@@ -168,6 +168,19 @@ def test_run_clt_experiment_rejects_bad_sigma2_before_replicating(monkeypatch, s
     assert calls == []
 
 
+@pytest.mark.parametrize("confidence", [1.5, 0.0, -0.1])
+def test_coverage_rejects_bad_confidence_before_replicating(monkeypatch, confidence):
+    def no_run(*args, **kwargs):
+        raise AssertionError("replicated before checking the confidence")
+
+    monkeypatch.setattr(me.estimator, "_run_tasks", no_run)
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    with pytest.raises(ValueError, match="confidence"):
+        me.coverage_experiment(
+            model, me.identity_payoff(), me.plan_bak(4, 2, 1.0), 20, 1.0, confidence, 0
+        )
+
+
 def test_berry_esseen_hand_value_on_synthetic_stats():
     plan = me.plan_bak(16, 2, 1.0)
     stats = [

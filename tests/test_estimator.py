@@ -62,6 +62,22 @@ def test_estimate_rejects_negative_bias_pilot():
         me.estimate(model, me.identity_payoff(), me.plan_bak(4, 2, 1.0), 0, bias_pilot=-1)
 
 
+@pytest.mark.parametrize(
+    "confidence, method", [(1.5, "clt"), (0.0, "clt"), (math.nan, "clt"), (0.9, "bootstrap")]
+)
+def test_estimate_rejects_bad_interval_before_simulating(monkeypatch, confidence, method):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking the interval")
+
+    monkeypatch.setattr(me.estimator, "_run_tasks", no_run)
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    with pytest.raises(ValueError, match="confidence|method"):
+        me.estimate(
+            model, me.identity_payoff(), me.plan_bak(16, 2, 1.0), 0,
+            confidence=confidence, ci_method=method,
+        )
+
+
 def test_plan_bak_custom_weights_follow_closed_form():
     weights = [1.0, 2.0, 0.5, 4.0]
     plan = me.plan_bak(16, 2, 1.0, weights=weights)

@@ -100,3 +100,36 @@ def test_only_the_replication_runner_replicates_estimate():
             if skips_pilot or (in_loop and callee == "estimate"):
                 sites.add((os.path.basename(path), function))
     assert sites == {("diagnostics.py", "_replicate")}
+
+
+def outer_calls(tree):
+    """(outermost function name, callee name) for every call in ``tree``."""
+    for node in tree.body:
+        function = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                yield function, getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_one_task_builder_keys_steps_and_chunks_every_euler_level():
+    # a telescope level's key, step count and legs are set in paths, every
+    # Euler chunk is built by paths._euler_tasks, and _chunk_tasks alone
+    # sizes chunks
+    only_caller = {
+        "_euler_batch": "_euler_tasks",
+        "_step_blocks": "_euler_tasks",
+        "_chunk_size": "_chunk_tasks",
+    }
+    level_domains = {"DOMAIN_SINGLE", "DOMAIN_COUPLED"}
+    stray = set()
+    for path in modules((PACKAGE_DIR,)):
+        base = os.path.basename(path)
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for function, callee in outer_calls(tree):
+            if callee in only_caller and function != only_caller[callee]:
+                stray.add((base, function, callee))
+        if base != "paths.py":
+            names = set(referenced_names(tree)) | set(imported_names(tree))
+            stray |= {(base, None, name) for name in level_domains & names}
+    assert stray == set()

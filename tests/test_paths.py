@@ -216,6 +216,33 @@ def test_negative_replication_is_rejected():
         me.single_terminals(me.make_gbm(1.0, 0.05, 0.2, 1.0), 2, 4, 0, replication=-1)
 
 
+def test_addresses_outside_a_step_block_stream_are_rejected():
+    # each would wrap onto words of another path or step block: paths 2**126
+    # and 2**126 + 1 of 64 words start at word 2**132, which is step block 4
+    # of paths 0 and 1
+    with pytest.raises(ValueError, match="first_path"):
+        me.normal_block(0, DOMAIN_SINGLE, 0, 0, -1, 2, 64, 1)
+    for step_block in (-1, 2**128):
+        with pytest.raises(ValueError, match="step_block"):
+            me.normal_block(0, DOMAIN_SINGLE, 0, 0, 0, 2, 64, 1, step_block=step_block)
+    for first, n in ((2**126, 2), (2**124 - 1, 2), (0, 2**130 + 1)):
+        with pytest.raises(ValueError, match="2\\*\\*130"):
+            me.normal_block(0, DOMAIN_SINGLE, 0, 0, first, n, 64, 1)
+    with pytest.raises(ValueError, match="2\\*\\*130"):
+        me.single_terminals(me.make_gbm(1.0, 0.05, 0.2, 1.0), 64, 2, 0, first_path=2**126)
+    # the last path and step block of the stream are still addressable
+    last = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 2**124 - 1, 1, 64, 1, step_block=2**128 - 1)
+    assert np.isfinite(last).all()
+
+
+def test_negative_path_counts_are_rejected():
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    with pytest.raises(ValueError, match="n_paths >= 0"):
+        me.single_terminals(model, 4, -1, 0)
+    with pytest.raises(ValueError, match="n_paths >= 0"):
+        me.coupled_terminals(model, 2, 2, -1, 0)
+
+
 def test_normal_block_moments_are_sane():
     z = me.normal_block(0, DOMAIN_SINGLE, 0, 0, 0, 2000, 16, 1)
     assert abs(z.mean()) < 0.02
