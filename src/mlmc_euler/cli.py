@@ -593,7 +593,7 @@ def _add_verify_parsers(sub) -> None:
         "bracket", _verify_bracket, "expected coupling bracket against its closed form",
         "mode,n,m,horizon,t,estimate,target",
     )
-    p.add_argument("--n", type=int, default=16, help="coarse step count (default 16)")
+    p.add_argument("--n", type=_int_at_least(1), default=16, help="coarse step count (default 16)")
     _add_common_flags(p, "--m", "--T", "--out")
     p.add_argument("--t", type=float, help="upper integration time (default T)")
     p.add_argument("--mode", choices=("time", "brownian"), default="time")

@@ -143,8 +143,10 @@ def bracket_expectation_check(
     the discrete path the integral is computed without extra
     discretization error); it matches the target to O(1/n) plus noise.
     Paths are simulated in fixed chunks, so the estimate does not depend
-    on ``threads``.
+    on ``threads``.  Both modes check their inputs before any work.
     """
+    if n < 1 or m < 2 or not 0.0 < horizon < math.inf or not 0.0 <= t <= horizon:
+        raise ValueError("need n >= 1, m >= 2, a finite horizon > 0 and 0 <= t <= horizon")
     target = (m - 1) * horizon * t / (2.0 * m * n)
     if mode == "time":
         return float(bracket_time_integral_exact(n, m, horizon, t)), target
@@ -154,8 +156,7 @@ def bracket_expectation_check(
         raise ValueError("brownian mode needs samples >= 1")
     fine_steps = m * n
     dt_fine = horizon / fine_steps
-    cells = int(math.floor(t / dt_fine + 1e-9))
-    cells = min(cells, fine_steps)
+    cells = min(int(math.floor(t / dt_fine + 1e-9)), fine_steps)
     values = np.empty(samples)
     k = np.arange(cells)
 

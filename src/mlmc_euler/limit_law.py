@@ -23,12 +23,13 @@ whose condition number exceeds 1e12 raises DegenerateTransportError
 rather than returning garbage.
 
 Scheduling: the engines' per-step recursion is a loop of short numpy
-calls that hold the GIL, while drawing a chunk's normals is a few long
-calls that release it.  So when a call has more chunks than threads,
-its chunks take turns in the engine (one lock, held around each engine
-call) and the other workers draw normals meanwhile; two engines at once
-would hand the GIL back and forth on every call.  Turn order does not
-affect the draws, which stay bitwise equal for any thread count.
+calls that hold the GIL, while drawing a step block of normals is a few
+long calls that release it.  So the engines take turns, at any thread
+count: an engine holds one lock, ``_ENGINE_LANE``, while it steps
+through one block of W increments, and lets it go while its next block
+is drawn.  Two engines at once would hand the GIL back and forth on
+every call and gain nothing.  Turn order does not affect the draws,
+which stay bitwise equal for any thread count.
 
 Statistical use: Var(grad f(X_T) . U_T) is the variance appearing in
 the central limit theorem for the multilevel estimator, so this module
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -50,9 +50,11 @@ from .models import Payoff, SdeModel
 from .paths import (
     DOMAIN_LIMIT_B,
     DOMAIN_LIMIT_W,
+    _block_steps,
     _chunk_tasks,
     _euler_step,
     _run_tasks,
+    _step_blocks,
     coupled_terminals,
     normal_block,
 )
@@ -66,8 +68,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-# Held by a chunk of ``limit_draws`` around its engine call when the call
-# has more chunks than threads (see ``limit_draws``).
+# Held by an engine while it steps through one block of increments.
 _ENGINE_LANE = threading.Lock()
 # Relative half-width of the kink guard band around payoff kinks.
 _KINK_TOL = 1e-12
@@ -99,16 +100,18 @@ class LimitSimConfig:
             raise ValueError("threads must be >= 1")
 
 
-def _scalar_batch(model, n_steps, dw, xi):
+def _scalar_batch(model, n_steps, blocks, xi):
     """d == q == 1 specialization working on flat (n,) arrays.
 
-    ``dw`` (steps, n, 1) is step-major and ``xi`` (n, 1) holds the B
-    stream's one normal per draw.  The conditional variance
-    c = dt sum_k (s'(X_k) s(X_k) / Z_k)**2 accumulates along the path and
-    A_T = sqrt(c) xi.  The state update stays fused here instead of going
-    through ``paths._euler_step``: the accumulator reuses the diffusion
-    column that update needs, and this engine is the inner loop of
-    ``estimate_limit_variance`` for every scalar model.
+    ``blocks`` yields the scaled W increments a step block at a time,
+    step-major (s, n, 1), each stepped through under ``_ENGINE_LANE``, and
+    ``xi`` (n, 1) holds the B stream's one normal per draw.  The
+    conditional variance c = dt sum_k (s'(X_k) s(X_k) / Z_k)**2
+    accumulates along the path and A_T = sqrt(c) xi.  The state update
+    stays fused here instead of going through ``paths._euler_step``: the
+    accumulator reuses the diffusion column that update needs, and this
+    engine is the inner loop of ``estimate_limit_variance`` for every
+    scalar model.
 
     Its per-step cost is mostly numpy call overhead, so the temporaries
     are allocated once per call and every product is written with
@@ -117,7 +120,7 @@ def _scalar_batch(model, n_steps, dw, xi):
     order are those of the plain expressions in the comments, so the
     draws are bitwise the same.
     """
-    n = dw.shape[1]
+    n = xi.shape[0]
     dt = model.horizon / n_steps
     x = np.full(n, model.initial[0])
     z = np.ones(n)
@@ -125,68 +128,70 @@ def _scalar_batch(model, n_steps, dw, xi):
     g = np.empty(n)
     a = np.empty(n)
     b = np.empty(n)
-    for k in range(n_steps):
-        xs = x[:, None]
-        dwk = dw[k, :, 0]
-        grad_diff = model.diffusion_jacobians[0](xs)[:, 0, 0]
-        diff_col = model.diffusion(xs)[:, 0, 0]
-        # any(|z| * _COND_LIMIT < 1): scaling by a positive constant is
-        # monotone, fmin skips NaN entries and the initial covers n == 0
-        if np.fmin.reduce(np.abs(z, out=a), initial=np.inf) * _COND_LIMIT < 1.0:
-            raise DegenerateTransportError("transport collapsed to zero")
-        np.multiply(grad_diff, diff_col, out=g)
-        g /= z
-        g *= g
-        c += g
-        # z += (drift_jacobian * dt + grad_diff * dw_k) * z
-        np.multiply(model.drift_jacobian(xs)[:, 0, 0], dt, out=a)
-        np.multiply(grad_diff, dwk, out=b)
-        a += b
-        a *= z
-        z += a
-        # x += drift * dt, then x += diff_col * dw_k; every term that
-        # reads x (or a view of it) is formed before x moves
-        np.multiply(model.drift(xs)[:, 0], dt, out=a)
-        np.multiply(diff_col, dwk, out=b)
-        x += a
-        x += b
+    for dw in blocks:
+        with _ENGINE_LANE:
+            for dwk in dw[:, :, 0]:
+                xs = x[:, None]
+                grad_diff = model.diffusion_jacobians[0](xs)[:, 0, 0]
+                diff_col = model.diffusion(xs)[:, 0, 0]
+                # any(|z| * _COND_LIMIT < 1): scaling by a positive constant is
+                # monotone, fmin skips NaN entries and the initial covers n == 0
+                if np.fmin.reduce(np.abs(z, out=a), initial=np.inf) * _COND_LIMIT < 1.0:
+                    raise DegenerateTransportError("transport collapsed to zero")
+                np.multiply(grad_diff, diff_col, out=g)
+                g /= z
+                g *= g
+                c += g
+                # z += (drift_jacobian * dt + grad_diff * dw_k) * z
+                np.multiply(model.drift_jacobian(xs)[:, 0, 0], dt, out=a)
+                np.multiply(grad_diff, dwk, out=b)
+                a += b
+                a *= z
+                z += a
+                # x += drift * dt, then x += diff_col * dw_k; every term that
+                # reads x (or a view of it) is formed before x moves
+                np.multiply(model.drift(xs)[:, 0], dt, out=a)
+                np.multiply(diff_col, dwk, out=b)
+                x += a
+                x += b
     acc = np.sqrt(c * dt) * xi[:, 0]
     u = z * acc / math.sqrt(2.0)
     return x[:, None], u[:, None]
 
 
-def _general_batch(model, n_steps, dw, xi):
+def _general_batch(model, n_steps, blocks, xi):
     """Generic d, q recursion on stacked matrices.
 
-    ``dw`` (steps, n, q) is step-major and ``xi`` (n, d) holds the B
-    stream's d normals per draw.  Each step solves Z against the q**2
-    columns (grad s_j)(X) s_i(X) and adds G G^T to the conditional
-    covariance; A_T = C_T**(1/2) xi with C_T = dt sum_k G_k G_k^T and the
-    symmetric square root, so C_T = 0 gives A_T = 0 exactly.  The state
-    takes the package's one Euler step, ``paths._euler_step``.
+    ``blocks`` and ``xi`` (n, d) are as in ``_scalar_batch``, with blocks
+    (s, n, q).  Each step solves Z against the q**2 columns
+    (grad s_j)(X) s_i(X) and adds G G^T to the conditional covariance;
+    A_T = C_T**(1/2) xi with C_T = dt sum_k G_k G_k^T and the symmetric
+    square root, so C_T = 0 gives A_T = 0 exactly.  The state takes the
+    package's one Euler step, ``paths._euler_step``.
     """
-    n = dw.shape[1]
-    d = model.dim_state
+    n, d = xi.shape
     q = model.dim_noise
     dt = model.horizon / n_steps
     x = np.broadcast_to(model.initial, (n, d)).copy()
     z = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     cov = np.zeros((n, d, d))
-    for k in range(n_steps):
-        diff = model.diffusion(x)  # (n, d, q)
-        grads = [jac(x) for jac in model.diffusion_jacobians]  # q of (n, d, d)
-        # column (j, i) is (grad s_j)(x) s_i(x)
-        cols = np.concatenate([grads[j] @ diff for j in range(q)], axis=2)  # (n, d, q*q)
-        try:
-            g = np.linalg.solve(z, cols)
-        except np.linalg.LinAlgError:
-            raise DegenerateTransportError("transport is singular") from None
-        cov += g @ g.transpose(0, 2, 1)
-        step = model.drift_jacobian(x) * dt
-        for j in range(q):
-            step = step + grads[j] * dw[k, :, j, None, None]
-        z = z + np.einsum("nab,nbc->nac", step, z)
-        x = _euler_step(model, x, dt, dw[k], diff)
+    for dw in blocks:
+        with _ENGINE_LANE:
+            for dwk in dw:
+                diff = model.diffusion(x)  # (n, d, q)
+                grads = [jac(x) for jac in model.diffusion_jacobians]  # q of (n, d, d)
+                # column (j, i) is (grad s_j)(x) s_i(x)
+                cols = np.concatenate([grads[j] @ diff for j in range(q)], axis=2)  # (n, d, q*q)
+                try:
+                    g = np.linalg.solve(z, cols)
+                except np.linalg.LinAlgError:
+                    raise DegenerateTransportError("transport is singular") from None
+                cov += g @ g.transpose(0, 2, 1)
+                step = model.drift_jacobian(x) * dt
+                for j in range(q):
+                    step = step + grads[j] * dwk[:, j, None, None]
+                z = z + np.einsum("nab,nbc->nac", step, z)
+                x = _euler_step(model, x, dt, dwk, diff)
     cond = np.linalg.cond(z)
     if not np.isfinite(cond).all() or cond.max() > _COND_LIMIT:
         raise DegenerateTransportError("transport condition number above 1e12")
@@ -210,43 +215,33 @@ def limit_draws(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Joint draws of (X_T, U_T); returns arrays (n, d), (n, d).
 
-    The state path consumes q * n_steps words of the W stream per draw.
-    The accumulator, Gaussian given the path, consumes d words of the B
-    stream per draw.  Both streams are keyed by ``replication``.  Work is
-    chunked over fixed path spans, so results do not depend on
-    ``threads``.
-
-    When a call has more chunks than ``threads``, its chunks take turns
-    in the engine: each holds ``_ENGINE_LANE`` around its engine call, so
-    one chunk runs its per-step recursion while the others draw their
-    normals, which release the GIL.  Two engines at once would pass the
-    GIL back and forth on every one of their short numpy calls and gain
-    little.  With no more chunks than threads there is nothing to
-    overlap, and every chunk enters its engine at once.
+    The state path reads its W increments like an Euler chunk, through
+    ``paths._step_blocks``: q words per step of the key
+    (master_seed, DOMAIN_LIMIT_W, n_steps, replication), 64 steps a block,
+    so a chunk holds one block of them at a time.  The accumulator,
+    Gaussian given the path, consumes d words of the B stream per draw.
+    Work is chunked over fixed path spans, and the engines take turns one
+    block at a time (see the module's scheduling note), so results do not
+    depend on ``threads``.
     """
     if n_steps < 1 or n_draws < 0:
         raise ValueError("n_steps must be >= 1 and n_draws >= 0")
     d = model.dim_state
     q = model.dim_noise
     dt = model.horizon / n_steps
+    key = (master_seed, DOMAIN_LIMIT_W, n_steps, replication)
     engine = _scalar_batch if d == 1 and q == 1 else _general_batch
     x_out = np.empty((n_draws, d))
     u_out = np.empty((n_draws, d))
 
     def work(a, b):
-        dw = normal_block(
-            master_seed, DOMAIN_LIMIT_W, n_steps, replication, first_path + a, b - a, n_steps, q
-        )
-        dw *= math.sqrt(dt)
+        blocks = _step_blocks(key, n_steps, q, dt, _block_steps(), first_path + a, b - a)
         xi = normal_block(
             master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a, 1, d
         )[0]
-        with lane:
-            x_out[a:b], u_out[a:b] = engine(model, n_steps, dw, xi)
+        x_out[a:b], u_out[a:b] = engine(model, n_steps, blocks(), xi)
 
-    tasks = _chunk_tasks(n_draws, q * n_steps + d, work)
-    lane = _ENGINE_LANE if len(tasks) > threads else nullcontext()
-    _run_tasks([tasks], threads)
+    _run_tasks([_chunk_tasks(n_draws, q * n_steps + d, work)], threads)
     return x_out, u_out
 
 

@@ -9,32 +9,32 @@ inverse CDF applied to 53-bit uniforms offset to the midpoint of their
 lattice cell (one uint64 per variate), which keeps the per-path draw
 budget fixed and makes counter jumps exact.
 
-An Euler path's steps are cut into step blocks of 64 steps, or of
-m * ceil(64 / m) fine steps for a coupled pair, so that a block holds
-whole coarse steps; the last block takes what is left.  Step block j
-reads its own stream: the key's Philox stream with counter word 2 set
-to j, so a path of at most one block reads block 0, the key's stream as
-it starts.  Path p of an s-step block of width q owns words
-[p * s * q, (p + 1) * s * q) of its stream, with no padding.  The
-generator advances in four-word blocks, so a call jumps to the block
-that holds its first word and drops the words of that block that belong
-to earlier paths.  A consumer that is not an Euler chunk (the limit
-law, the bracket check) asks for step block 0 of all its steps.  Master
-seeds must lie in [0, 2**64); anything else is rejected rather than
-wrapped onto another seed's stream, and so is a negative path, a step
-block outside [0, 2**128) or a word past 2**130 of a step block's
-stream.
+An Euler path's steps, the limit law's among them, are cut into step
+blocks of 64 steps, or of m * ceil(64 / m) fine steps for a coupled
+pair, so that a block holds whole coarse steps; the last block takes
+what is left.  Step block j reads its own stream: the key's Philox
+stream with counter word 2 set to j, so a path of at most one block
+reads block 0, the key's stream as it starts.  Path p of an s-step block
+of width q owns words [p * s * q, (p + 1) * s * q) of its stream, with
+no padding.  The generator advances in four-word blocks, so a call
+jumps to the block that holds its first word and drops the words of
+that block that belong to earlier paths.  ``_step_blocks`` is the one
+reader of multi-step increments; every other consumer asks for one
+step.  Master seeds must lie in [0, 2**64); anything else is rejected
+rather than wrapped onto another seed's stream, and so is a negative
+path, a step block outside [0, 2**128) or a word past 2**130 of a step
+block's stream.
 
 Layout contract: ``normal_block`` returns step-major normals, shape
 (steps, n, q), and every Euler kernel takes its Brownian increments in
 that layout, so each step reads one contiguous (n, q) slice.  Callers
 scale them by sqrt(dt) in place.  Only ``normal_block`` knows that the
-stream is addressed per path.  The Euler chunks draw one step block at
-a time and step every leg through it before the next is drawn, so they
-hold one block of increments, however many steps their paths take.  A
-consumer with no time steps (the limit law's second stream, the bracket
-check's whole paths) asks for one step and takes its (n, width) slice
-``[0]``.
+stream is addressed per path.  The Euler chunks and the limit law's
+engines draw one step block at a time and step through it before the
+next is drawn, so they hold one block of increments, however many steps
+their paths take.  A consumer with no time steps (the limit law's second
+stream, the bracket check's whole paths) asks for one step and takes
+its (n, width) slice ``[0]``.
 
 Scheduling contract: a batch is split into chunk tasks (``_chunk_tasks``)
 whose boundaries depend only on the per-path draw budget
@@ -199,7 +199,7 @@ def _block_steps(m: int = 1) -> int:
 
 
 def _step_blocks(key: tuple, n_steps: int, width: int, dt: float, block: int, first: int, n: int):
-    """The ``blocks`` argument of ``_euler_batch`` for paths [first, first + n) of ``key``.
+    """The ``blocks`` of ``_euler_batch`` and the limit law for paths [first, first + n) of ``key``.
 
     ``key`` is (master_seed, domain, slot, replication).  Block j holds
     steps [j * block, (j + 1) * block) of the paths, scaled by sqrt(dt).
@@ -283,8 +283,8 @@ def _euler_batch(model, legs, blocks, first_path: int) -> List[np.ndarray]:
 
 def _chunk_size(draws_per_path: int) -> int:
     # About 2**22 draws per chunk, which sets the work of one task.  The
-    # Euler chunks hold one step block of them at a time; the limit law and
-    # the bracket check hold all of them, ~32 MB per chunk.
+    # Euler chunks and the limit law hold one step block of them at a time;
+    # the bracket check holds all of them, ~32 MB per chunk.
     return max(64, min(1 << 16, (1 << 22) // max(draws_per_path, 1)))
 
 

@@ -28,6 +28,17 @@ REPLICATED_VERIFY_SHA256 = {
     ),
 }
 
+# sha256 of the stdout of `limit-var` with these flags, at any --threads;
+# 64 grid steps are one step block, 130 are blocks of 64, 64 and 2 steps
+LIMIT_VAR_SHA256 = {
+    "--samples 2000 --grid-steps 64 --seed 1": (
+        "4d2413a0a44897b78eec0d429346f8fb5290acf91e48cb4584a04308093ba896"
+    ),
+    "--samples 2000 --grid-steps 130 --seed 1": (
+        "830b845b6a6ee7705da5b978a22db884761b70cb28a8abaa060b917d25c8eeff"
+    ),
+}
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -240,6 +251,14 @@ def test_limit_var_reports_variance_and_se(capsys):
     assert payload["samples"] == 400
 
 
+@pytest.mark.parametrize("threads", ["1", "8"])
+@pytest.mark.parametrize("flags", sorted(LIMIT_VAR_SHA256))
+def test_limit_var_stdout_is_pinned(capsys, flags, threads):
+    code, out, _ = run_cli(capsys, "limit-var", *flags.split(), "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LIMIT_VAR_SHA256[flags]
+
+
 def test_limit_var_zero_vol_call_at_strike_is_exit_3_or_2(capsys):
     # the kink sits on an atom of the terminal law; the guard reports it
     code, _, err = run_cli(
@@ -268,6 +287,15 @@ def test_verify_bracket_brownian_mode(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["estimate"] == pytest.approx(payload["target"], rel=0.08)
+
+
+@pytest.mark.parametrize("mode", ["time", "brownian"])
+@pytest.mark.parametrize("flags", ["--m 1", "--T -1", "--t 5", "--t -1"])
+def test_verify_bracket_out_of_range_input_is_usage_error(capsys, mode, flags):
+    code, out, err = run_cli(capsys, "verify", "bracket", "--mode", mode, *flags.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_clt_writes_csv_artifact(capsys, tmp_path):
@@ -493,6 +521,8 @@ def test_seed_outside_64_bits_is_usage_error(capsys):
         ("verify two-level-law --samples 1 --level 2 --grid-steps 4", "--samples"),
         ("verify two-level-law --samples 100 --level 0 --grid-steps 4", "--level"),
         ("verify bracket --mode brownian --samples 0", "--samples"),
+        ("verify bracket --n 0", "--n"),
+        ("verify bracket --mode brownian --n 0", "--n"),
         ("verify clt --n 4 --replications 1", "--replications"),
         ("verify coverage --n 4 --replications 0", "--replications"),
         ("benchmark --n-list 4 --replications 0 --truth 1", "--replications"),

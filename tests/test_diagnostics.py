@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlmc_euler as me
+from mlmc_euler import diagnostics
 
 # ---------------------------------------------------------- intervals
 
@@ -132,6 +133,30 @@ def test_bracket_expectation_check_validates_mode_and_samples():
         me.bracket_expectation_check(4, 2, 1.0, 1.0, mode="exact")
     with pytest.raises(ValueError):
         me.bracket_expectation_check(4, 2, 1.0, 1.0, mode="brownian")
+
+
+@pytest.mark.parametrize("mode", ["time", "brownian"])
+@pytest.mark.parametrize(
+    "n, m, horizon, t",
+    [
+        (0, 2, 1.0, 1.0),
+        (4, 1, 1.0, 1.0),
+        (4, 2, -1.0, -1.0),
+        (4, 2, 0.0, 0.0),
+        (4, 2, math.inf, 1.0),
+        (4, 2, 1.0, 5.0),
+        (4, 2, 1.0, -1.0),
+    ],
+)
+def test_bracket_expectation_check_rejects_bad_inputs_before_drawing(
+    monkeypatch, mode, n, m, horizon, t
+):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths drawn before the inputs were checked")
+
+    monkeypatch.setattr(diagnostics, "normal_block", no_draws)
+    with pytest.raises(ValueError):
+        me.bracket_expectation_check(n, m, horizon, t, samples=100, mode=mode)
 
 
 # ------------------------------------------------------ CLT and BE

@@ -103,22 +103,22 @@ def test_only_the_replication_runner_replicates_estimate():
 
 
 def outer_calls(tree):
-    """(outermost function name, callee name) for every call in ``tree``."""
+    """(outermost function name, callee name, call) for every call in ``tree``."""
     for node in tree.body:
         function = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
         for call in ast.walk(node):
             if isinstance(call, ast.Call):
-                yield function, getattr(call.func, "id", getattr(call.func, "attr", None))
+                yield function, getattr(call.func, "id", getattr(call.func, "attr", None)), call
 
 
 def test_one_task_builder_keys_steps_and_chunks_every_euler_level():
     # a telescope level's key, step count and legs are set in paths, every
     # Euler chunk is built by paths._euler_tasks, and _chunk_tasks alone
     # sizes chunks
-    only_caller = {
-        "_euler_batch": "_euler_tasks",
-        "_step_blocks": "_euler_tasks",
-        "_chunk_size": "_chunk_tasks",
+    only_callers = {
+        "_euler_batch": {"_euler_tasks"},
+        "_step_blocks": {"_euler_tasks", "limit_draws"},
+        "_chunk_size": {"_chunk_tasks"},
     }
     level_domains = {"DOMAIN_SINGLE", "DOMAIN_COUPLED"}
     stray = set()
@@ -126,10 +126,31 @@ def test_one_task_builder_keys_steps_and_chunks_every_euler_level():
         base = os.path.basename(path)
         with open(path, encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), filename=path)
-        for function, callee in outer_calls(tree):
-            if callee in only_caller and function != only_caller[callee]:
+        for function, callee, _ in outer_calls(tree):
+            if callee in only_callers and function not in only_callers[callee]:
                 stray.add((base, function, callee))
         if base != "paths.py":
             names = set(referenced_names(tree)) | set(imported_names(tree))
             stray |= {(base, None, name) for name in level_domains & names}
     assert stray == set()
+
+
+def test_multi_step_increments_are_read_only_through_step_blocks():
+    # paths._step_blocks reads a path's steps 64 at a time; any other
+    # normal_block call asks for one step, so nothing holds a whole path
+    steps_index = 6  # normal_block(seed, domain, slot, replication, first, n, n_steps, ...)
+    stray = []
+    for path in modules((PACKAGE_DIR,)):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for function, callee, call in outer_calls(tree):
+            if callee != "normal_block" or function == "_step_blocks":
+                continue
+            keywords = {kw.arg: kw.value for kw in call.keywords}
+            steps = keywords.get("n_steps")
+            if steps is None and len(call.args) > steps_index:
+                if not any(isinstance(arg, ast.Starred) for arg in call.args[: steps_index + 1]):
+                    steps = call.args[steps_index]
+            if not (isinstance(steps, ast.Constant) and steps.value == 1):
+                stray.append((os.path.basename(path), function, call.lineno))
+    assert stray == []

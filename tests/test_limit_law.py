@@ -1,6 +1,9 @@
 """Limit process simulation and the two-level error distribution."""
 
+import collections
+import dataclasses
 import math
+import sys
 import threading
 import time
 
@@ -43,7 +46,7 @@ def test_zero_diffusion_limit_is_exactly_zero():
     np.testing.assert_allclose(x[:, 0], (1.0 + 0.05 / 32) ** 32, rtol=1e-14)
     # the general engine's square root of a zero covariance is exactly zero
     dw, xi = engine_increments(model, 32, 50, 0)
-    _, ug = limit_law._general_batch(model, 32, dw, xi)
+    _, ug = limit_law._general_batch(model, 32, [dw], xi)
     np.testing.assert_array_equal(ug, np.zeros((50, 1)))
 
 
@@ -156,17 +159,21 @@ def test_limit_draws_chunk_reads_n_d_b_words(monkeypatch, split_noise_gbm, name)
 
 
 def engine_increments(model, steps, paths, seed):
-    """The step-major dw and the B normals xi that ``limit_draws`` feeds its engines, d = q = 1."""
+    """Step-major scaled W increments dw (steps, paths, q) and the B normals xi (paths, d).
+
+    They are step block 0 of all the steps, which is what ``limit_draws``
+    feeds its engines when ``steps`` is at most 64.
+    """
     sqrt_dt = math.sqrt(model.horizon / steps)
-    zw = me.normal_block(seed, DOMAIN_LIMIT_W, steps, 0, 0, paths, steps, 1)
-    return sqrt_dt * zw, limit_xi(seed, steps, paths)
+    zw = me.normal_block(seed, DOMAIN_LIMIT_W, steps, 0, 0, paths, steps, model.dim_noise)
+    return sqrt_dt * zw, limit_xi(seed, steps, paths, d=model.dim_state)
 
 
 def test_generic_engine_matches_scalar_fast_path():
     model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
     dw, xi = engine_increments(model, 32, 400, 5)
-    xs, us = limit_law._scalar_batch(model, 32, dw, xi)
-    xg, ug = limit_law._general_batch(model, 32, dw, xi)
+    xs, us = limit_law._scalar_batch(model, 32, [dw], xi)
+    xg, ug = limit_law._general_batch(model, 32, [dw], xi)
     np.testing.assert_allclose(xs, xg, rtol=1e-12)
     np.testing.assert_allclose(us, ug, rtol=1e-12, atol=1e-14)
     # limit_draws runs the scalar engine on these very arrays when d = q = 1
@@ -178,9 +185,8 @@ def test_generic_engine_matches_scalar_fast_path():
 def assert_thread_invariant(model, steps):
     """``limit_draws`` over three chunks is bitwise equal at 1, 2 and 8 threads.
 
-    Two threads take turns in the engine (3 chunks > 2 threads); eight
-    run the three engine calls at once.  Below 32 steps a chunk holds
-    2**16 draws, which keeps the engines' work small.
+    Below 32 steps a chunk holds 2**16 draws, which keeps the engines'
+    work small.
     """
     chunk = paths._chunk_size(model.dim_noise * steps + model.dim_state)
     draws = 2 * chunk + 5
@@ -206,6 +212,55 @@ def test_split_noise_limit_draws_thread_partition_is_bitwise(split_noise_gbm):
         xp, up = me.limit_draws(split_noise_gbm, 32, b - a, 0, first_path=a)
         np.testing.assert_array_equal(xp, x1[a:b])
         np.testing.assert_array_equal(up, u1[a:b])
+
+
+# 130 steps are step blocks of 64, 64 and 2 steps
+BLOCKED_STEPS = 130
+
+
+@pytest.mark.parametrize("name", ["gbm", "split_noise"])
+def test_limit_draws_over_step_blocks_are_partition_invariant(split_noise_gbm, name):
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0) if name == "gbm" else split_noise_gbm
+    x1, u1 = me.limit_draws(model, BLOCKED_STEPS, 301, 2, replication=1)
+    for a, b in ((0, 1), (1, 130), (130, 301)):
+        xp, up = me.limit_draws(model, BLOCKED_STEPS, b - a, 2, replication=1, first_path=a)
+        np.testing.assert_array_equal(xp, x1[a:b])
+        np.testing.assert_array_equal(up, u1[a:b])
+
+
+def test_limit_draws_over_step_blocks_are_thread_invariant(monkeypatch, split_noise_gbm):
+    assert_thread_invariant(me.make_gbm(1.0, 0.05, 0.2, 1.0), BLOCKED_STEPS)
+    # the general engine at its own chunk size would take seconds; chunk
+    # boundaries do not move a draw, which the partition test checks
+    monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path: 100)
+    assert_thread_invariant(split_noise_gbm, BLOCKED_STEPS)
+
+
+@pytest.mark.parametrize("name", ["gbm", "split_noise"])
+def test_engines_carry_their_state_across_step_blocks(split_noise_gbm, name):
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0) if name == "gbm" else split_noise_gbm
+    dw, xi = engine_increments(model, BLOCKED_STEPS, 200, 8)
+    blocks = [dw[:64], dw[64:128], dw[128:]]
+    engines = [limit_law._general_batch]
+    if name == "gbm":
+        engines.append(limit_law._scalar_batch)
+    for engine in engines:
+        x1, u1 = engine(model, BLOCKED_STEPS, [dw], xi)
+        xb, ub = engine(model, BLOCKED_STEPS, iter(blocks), xi)
+        np.testing.assert_array_equal(xb, x1)
+        np.testing.assert_array_equal(ub, u1)
+    # limit_draws reads step block j of the key (seed, W, steps, replication)
+    sqrt_dt = math.sqrt(model.horizon / BLOCKED_STEPS)
+    keyed = [
+        sqrt_dt * me.normal_block(
+            8, DOMAIN_LIMIT_W, BLOCKED_STEPS, 0, 0, 200, steps, model.dim_noise, step_block=j
+        )
+        for j, steps in enumerate((64, 64, 2))
+    ]
+    x, u = me.limit_draws(model, BLOCKED_STEPS, 200, 8)
+    xe, ue = engines[-1](model, BLOCKED_STEPS, keyed, xi)
+    np.testing.assert_array_equal(x, xe)
+    np.testing.assert_array_equal(u, ue)
 
 
 def test_limit_moments_match_closed_form():
@@ -326,7 +381,7 @@ def test_degenerate_transport_raises_in_both_engines():
     dw, xi = engine_increments(model, steps, 16, 0)
     for engine in (limit_law._scalar_batch, limit_law._general_batch):
         with pytest.raises(me.DegenerateTransportError):
-            engine(model, steps, dw, xi)
+            engine(model, steps, [dw], xi)
 
 
 def scalar_batch_reference(model, n_steps, dw, xi):
@@ -399,7 +454,7 @@ def test_scalar_engine_matches_reference_bitwise(name, steps, draws):
         "nan_transport": lambda: nan_transport_gbm(steps),
     }[name]()
     dw, xi = engine_increments(model, steps, draws, 7)
-    x, u = limit_law._scalar_batch(model, steps, dw, xi)
+    x, u = limit_law._scalar_batch(model, steps, [dw], xi)
     xr, ur = scalar_batch_reference(model, steps, dw, xi)
     assert x.shape == u.shape == (draws, 1)
     np.testing.assert_array_equal(x, xr)
@@ -414,73 +469,112 @@ def test_scalar_engine_and_reference_both_raise_on_collapse(name):
     steps = 64
     model = collapsing_model(steps) if name == "collapse" else nan_transport_gbm(steps, 0.9)
     dw, xi = engine_increments(model, steps, 400, 7)
-    for engine in (limit_law._scalar_batch, scalar_batch_reference):
-        with pytest.raises(me.DegenerateTransportError):
-            engine(model, steps, dw, xi)
+    with pytest.raises(me.DegenerateTransportError):
+        limit_law._scalar_batch(model, steps, [dw], xi)
+    with pytest.raises(me.DegenerateTransportError):
+        scalar_batch_reference(model, steps, dw, xi)
 
 
-def count_engine_entries(monkeypatch, fail_on=None):
-    """Wrap both engines; return the list of concurrent-entry counts seen on entry.
+class CountingLane:
+    """Stands in for ``_ENGINE_LANE``: a lock that numbers its holds."""
 
-    Each wrapped call sleeps briefly inside, so overlapping engine calls
-    are caught.  A call whose batch has ``fail_on`` draws raises
-    ``DegenerateTransportError`` instead of running.
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.holds = 0
+
+    def __enter__(self):
+        self.lock.acquire()
+        self.holds += 1
+
+    def __exit__(self, *exc):
+        self.lock.release()
+
+
+def stepping_model(model, fail_at=None):
+    """``model`` whose drift, evaluated once per step by both engines, watches the engines.
+
+    Each call records (the ``CountingLane`` hold it runs in, or None with
+    the real lane, and the number of drift calls in progress) and sleeps
+    briefly inside, so two engines stepping at once would overlap there.
+    The ``fail_at``-th call raises ``DegenerateTransportError``.  Returns
+    the model and its record.
     """
     seen = []
     inside = [0]
     guard = threading.Lock()
 
-    def wrap(engine):
-        def counted(model, n_steps, dw, xi):
+    def drift(x):
+        with guard:
+            inside[0] += 1
+            seen.append((getattr(limit_law._ENGINE_LANE, "holds", None), inside[0]))
+            failing = len(seen) == fail_at
+        try:
+            time.sleep(1e-4)
+            if failing:
+                raise me.DegenerateTransportError("injected")
+            return model.drift(x)
+        finally:
             with guard:
-                inside[0] += 1
-                seen.append(inside[0])
-            try:
-                time.sleep(0.02)
-                if dw.shape[1] == fail_on:
-                    raise me.DegenerateTransportError("injected")
-                return engine(model, n_steps, dw, xi)
-            finally:
-                with guard:
-                    inside[0] -= 1
+                inside[0] -= 1
 
-        return counted
-
-    for name in ("_scalar_batch", "_general_batch"):
-        monkeypatch.setattr(limit_law, name, wrap(getattr(limit_law, name)))
-    return seen
+    return dataclasses.replace(model, drift=drift), seen
 
 
+@pytest.mark.parametrize("threads", [1, 2, 8])
 @pytest.mark.parametrize("name", ["gbm", "split_noise"])
-def test_engines_take_turns_with_more_chunks_than_threads(monkeypatch, split_noise_gbm, name):
-    model = me.make_gbm(1.0, 0.05, 0.2, 1.0) if name == "gbm" else split_noise_gbm
-    seen = count_engine_entries(monkeypatch)
-    # one step: 2**16 draws per chunk, so 5 chunks for 4 threads stay cheap
-    chunk = paths._chunk_size(model.dim_noise + model.dim_state)
-    me.limit_draws(model, 1, 4 * chunk + 3, 0, threads=4)
-    assert len(seen) == 5
-    assert max(seen) == 1
+def test_engines_take_turns_one_block_at_a_time(monkeypatch, split_noise_gbm, name, threads):
+    base = me.make_gbm(1.0, 0.05, 0.2, 1.0) if name == "gbm" else split_noise_gbm
+    lane = CountingLane()
+    monkeypatch.setattr(limit_law, "_ENGINE_LANE", lane)
+    # 40-draw chunks keep 4 chunks of 130 = 64 + 64 + 2 steps cheap
+    monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path: 40)
+    model, seen = stepping_model(base)
+    # a short switch interval makes overlapping engines more likely to show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        me.limit_draws(model, 130, 150, 0, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 4 * 130
+    # no two engines step at once, and each hold is one block's steps
+    assert max(inside for _, inside in seen) == 1
+    steps_per_hold = collections.Counter(hold for hold, _ in seen)
+    assert lane.holds == 12
+    assert sorted(steps_per_hold.values()) == [2] * 4 + [64] * 8
+
+
+def within_a_minute(call):
+    """What ``call()`` returns or raises, or None if it is still running after 60 s.
+
+    A lane left held would block a call forever, so calls that need the
+    real lane run on a daemon thread.
+    """
+    out = []
+
+    def run():
+        try:
+            out.append(call())
+        except Exception as exc:
+            out.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    return out[0] if out else None
 
 
 def test_engine_error_propagates_and_releases_the_lane(monkeypatch):
-    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    chunk = paths._chunk_size(2)
-    draws = 4 * chunk + 3
-    # the last of the 5 chunks holds 3 draws and fails
-    count_engine_entries(monkeypatch, fail_on=3)
-    with pytest.raises(me.DegenerateTransportError, match="injected"):
-        me.limit_draws(model, 1, draws, 0, threads=4)
-    assert not limit_law._ENGINE_LANE.locked()
-    monkeypatch.undo()
-    done = []
-    # a lane left held would block this call forever, so it runs under a timeout
-    runner = threading.Thread(
-        target=lambda: done.append(me.limit_draws(model, 1, draws, 0, threads=4)), daemon=True
-    )
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive()
-    assert len(done) == 1 and done[0][0].shape == (draws, 1)
+    base = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path: 40)
+    for threads in (1, 2, 8):
+        # the 100th step falls in the middle of the second lane hold's block
+        model, _ = stepping_model(base, fail_at=100)
+        error = within_a_minute(lambda: me.limit_draws(model, 130, 150, 0, threads=threads))
+        assert isinstance(error, me.DegenerateTransportError) and str(error) == "injected"
+        assert not limit_law._ENGINE_LANE.locked()
+        done = within_a_minute(lambda: me.limit_draws(base, 130, 150, 0, threads=threads))
+        assert done is not None and done[0].shape == (150, 1)
 
 
 def test_two_level_zero_coefficients_all_samples_zero():
