@@ -162,12 +162,18 @@ def bracket_expectation_check(
 
     def work(a, b):
         z = normal_block(master_seed, DOMAIN_BRACKET, n, m, a, b - a, 1, fine_steps)[0]
-        w = np.cumsum(math.sqrt(dt_fine) * z, axis=1)
-        w = np.concatenate([np.zeros((b - a, 1)), w], axis=1)
+        z *= math.sqrt(dt_fine)
+        # W at the m n + 1 fine grid points, one row per path
+        w = np.empty((b - a, fine_steps + 1))
+        w[:, 0] = 0.0
+        np.cumsum(z, axis=1, out=w[:, 1:])
+        del z
         diffs = w[:, k] - w[:, (k // m) * m]
-        values[a:b] = np.sum(diffs**2, axis=1) * dt_fine
+        diffs *= diffs
+        values[a:b] = np.sum(diffs, axis=1) * dt_fine
 
-    _run_tasks([_chunk_tasks(samples, fine_steps, work)], threads)
+    # a chunk holds its paths whole
+    _run_tasks([_chunk_tasks(samples, fine_steps, fine_steps, work)], threads)
     return float(np.mean(values)), target
 
 

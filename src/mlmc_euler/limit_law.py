@@ -231,17 +231,20 @@ def limit_draws(
     dt = model.horizon / n_steps
     key = (master_seed, DOMAIN_LIMIT_W, n_steps, replication)
     engine = _scalar_batch if d == 1 and q == 1 else _general_batch
+    block = _block_steps()
     x_out = np.empty((n_draws, d))
     u_out = np.empty((n_draws, d))
 
     def work(a, b):
-        blocks = _step_blocks(key, n_steps, q, dt, _block_steps(), first_path + a, b - a)
+        blocks = _step_blocks(key, n_steps, q, dt, block, first_path + a, b - a)
         xi = normal_block(
             master_seed, DOMAIN_LIMIT_B, n_steps, replication, first_path + a, b - a, 1, d
         )[0]
         x_out[a:b], u_out[a:b] = engine(model, n_steps, blocks(), xi)
 
-    _run_tasks([_chunk_tasks(n_draws, q * n_steps + d, work)], threads)
+    # a chunk holds one step block of W increments and the B stream's d words per draw
+    tasks = _chunk_tasks(n_draws, q * n_steps + d, q * min(n_steps, block) + d, work)
+    _run_tasks([tasks], threads)
     return x_out, u_out
 
 

@@ -37,8 +37,11 @@ stream, the bracket check's whole paths) asks for one step and takes
 its (n, width) slice ``[0]``.
 
 Scheduling contract: a batch is split into chunk tasks (``_chunk_tasks``)
-whose boundaries depend only on the per-path draw budget
-(``_chunk_size``), never on the thread count.  ``_euler_tasks`` is the
+whose boundaries depend only on what a path draws and what a chunk holds
+of it at once (``_chunk_size``), never on the thread count: a chunk does
+at most 2**22 draws of work and holds at most 2**19 (4 MB), so an Euler
+chunk of short paths, each one step block, holds no more than one of long
+paths.  Boundaries never move a number.  ``_euler_tasks`` is the
 one builder of Euler chunk tasks, for a fine leg alone or a coupled
 fine/coarse pair, and ``_level_tasks`` is the one place that maps a
 level of the multilevel telescope to its key, step count and legs.
@@ -257,8 +260,10 @@ def _euler_batch(model, legs, blocks, first_path: int) -> List[np.ndarray]:
     leg's terminal states (n, d).
 
     Raises EulerDivergedError if any path ends non-finite: the lowest such
-    path of the first leg that has one is re-run alone, its blocks drawn
-    again, to report its first non-finite step.
+    path over all legs is re-run alone, its blocks drawn again, to report
+    its first non-finite step on the first leg that ends non-finite there
+    (the fine leg if it does).  Chunks raise in path order, so the report
+    does not depend on where chunks are cut.
     """
     # every path starts from the same state, so the first step evaluates
     # the coefficients on one row and broadcasts them over the batch
@@ -267,33 +272,38 @@ def _euler_batch(model, legs, blocks, first_path: int) -> List[np.ndarray]:
         for i, (dt, m) in enumerate(legs):
             xs[i] = _euler_steps(model, xs[i], dt, _block_sums(dw, m))
         del dw  # so that the next block is drawn with this one freed
-    for (dt, m), x in zip(legs, xs):
-        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-        if bad.size:
-            row = int(bad[0])
-            x = model.initial[None, :]
-            steps = (step for dw in blocks(row) for step in _block_sums(dw, m))
-            for k, step in enumerate(steps):
-                x = _euler_step(model, x, dt, step, model.diffusion(x))
-                if not np.isfinite(x).all():
-                    break
-            raise EulerDivergedError(step_index=k, path_index=first_path + row)
+    bad = np.stack([~np.isfinite(x).all(axis=1) for x in xs])
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size:
+        row = int(rows[0])
+        dt, m = legs[int(np.argmax(bad[:, row]))]
+        x = model.initial[None, :]
+        steps = (step for dw in blocks(row) for step in _block_sums(dw, m))
+        for k, step in enumerate(steps):
+            x = _euler_step(model, x, dt, step, model.diffusion(x))
+            if not np.isfinite(x).all():
+                break
+        raise EulerDivergedError(step_index=k, path_index=first_path + row)
     return xs
 
 
-def _chunk_size(draws_per_path: int) -> int:
-    # About 2**22 draws per chunk, which sets the work of one task.  The
-    # Euler chunks and the limit law hold one step block of them at a time;
-    # the bracket check holds all of them, ~32 MB per chunk.
-    return max(64, min(1 << 16, (1 << 22) // max(draws_per_path, 1)))
+def _chunk_size(draws_per_path: int, held_per_path: int) -> int:
+    # A chunk does about 2**22 draws of work, which sets the cost of one
+    # task, and holds at most 2**19 of them (4 MB) at once: the Euler chunks
+    # and the limit law hold one step block per path, the bracket check its
+    # whole paths.  A chunk at the floor of 64 paths may exceed either budget.
+    return max(
+        64,
+        min(1 << 16, (1 << 22) // max(draws_per_path, 1), (1 << 19) // max(held_per_path, 1)),
+    )
 
 
 Task = Callable[[], None]
 
 
-def _chunk_tasks(n_paths: int, draws_per_path: int, work) -> List[Task]:
+def _chunk_tasks(n_paths: int, draws_per_path: int, held_per_path: int, work) -> List[Task]:
     """``work(a, b)`` over [0, n_paths) as one task per chunk of ``_chunk_size`` paths."""
-    chunk = _chunk_size(draws_per_path)
+    chunk = _chunk_size(draws_per_path, held_per_path)
     return [partial(work, a, min(a + chunk, n_paths)) for a in range(0, n_paths, chunk)]
 
 
@@ -356,12 +366,13 @@ def _euler_tasks(
     dt = model.horizon / n_steps
     legs = [(dt, 1)] if m == 1 else [(dt, 1), (model.horizon / (n_steps // m), m)]
     q = model.dim_noise
+    block = _block_steps(m)
 
     def work(a, b):
-        blocks = _step_blocks(key, n_steps, q, dt, _block_steps(m), first_path + a, b - a)
+        blocks = _step_blocks(key, n_steps, q, dt, block, first_path + a, b - a)
         consume(a, b, *_euler_batch(model, legs, blocks, first_path + a))
 
-    return _chunk_tasks(n_paths, q * n_steps, work)
+    return _chunk_tasks(n_paths, q * n_steps, q * min(n_steps, block), work)
 
 
 def _level_tasks(

@@ -289,6 +289,22 @@ def test_verify_bracket_brownian_mode(capsys):
     assert payload["estimate"] == pytest.approx(payload["target"], rel=0.08)
 
 
+# sha256 of the stdout of `verify bracket --mode brownian --n 16 --m 2 --t 1
+# --samples 5000`, which pins the bracket check's stream and its arithmetic
+BRACKET_BROWNIAN_N16_SHA256 = "6c48cf917e68ccdf0569a819ecf3734c176c7610f0e81020436dcca0feb36edc"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_bracket_brownian_mode_is_pinned(capsys, threads):
+    code, out, _ = run_cli(
+        capsys,
+        *"verify bracket --mode brownian --n 16 --m 2 --t 1 --samples 5000 --threads".split(),
+        threads,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BRACKET_BROWNIAN_N16_SHA256
+
+
 @pytest.mark.parametrize("mode", ["time", "brownian"])
 @pytest.mark.parametrize("flags", ["--m 1", "--T -1", "--t 5", "--t -1"])
 def test_verify_bracket_out_of_range_input_is_usage_error(capsys, mode, flags):

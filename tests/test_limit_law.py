@@ -185,10 +185,11 @@ def test_generic_engine_matches_scalar_fast_path():
 def assert_thread_invariant(model, steps):
     """``limit_draws`` over three chunks is bitwise equal at 1, 2 and 8 threads.
 
-    Below 32 steps a chunk holds 2**16 draws, which keeps the engines'
+    A chunk holds at most 2**16 draws, and few steps keep the engines'
     work small.
     """
-    chunk = paths._chunk_size(model.dim_noise * steps + model.dim_state)
+    q, d = model.dim_noise, model.dim_state
+    chunk = paths._chunk_size(q * steps + d, q * min(steps, paths._block_steps()) + d)
     draws = 2 * chunk + 5
     assert -(-draws // chunk) == 3
     x1, u1 = me.limit_draws(model, steps, draws, 0, threads=1)
@@ -232,7 +233,7 @@ def test_limit_draws_over_step_blocks_are_thread_invariant(monkeypatch, split_no
     assert_thread_invariant(me.make_gbm(1.0, 0.05, 0.2, 1.0), BLOCKED_STEPS)
     # the general engine at its own chunk size would take seconds; chunk
     # boundaries do not move a draw, which the partition test checks
-    monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path: 100)
+    monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path, held_per_path: 100)
     assert_thread_invariant(split_noise_gbm, BLOCKED_STEPS)
 
 
@@ -527,7 +528,7 @@ def test_engines_take_turns_one_block_at_a_time(monkeypatch, split_noise_gbm, na
     lane = CountingLane()
     monkeypatch.setattr(limit_law, "_ENGINE_LANE", lane)
     # 40-draw chunks keep 4 chunks of 130 = 64 + 64 + 2 steps cheap
-    monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path: 40)
+    monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path, held_per_path: 40)
     model, seen = stepping_model(base)
     # a short switch interval makes overlapping engines more likely to show
     interval = sys.getswitchinterval()
@@ -566,7 +567,7 @@ def within_a_minute(call):
 
 def test_engine_error_propagates_and_releases_the_lane(monkeypatch):
     base = me.make_gbm(1.0, 0.05, 0.2, 1.0)
-    monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path: 40)
+    monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path, held_per_path: 40)
     for threads in (1, 2, 8):
         # the 100th step falls in the middle of the second lane hold's block
         model, _ = stepping_model(base, fail_at=100)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri as scipy_ndtri
 
 import mlmc_euler as me
-from mlmc_euler import paths
+from mlmc_euler import diagnostics, limit_law, paths
 from mlmc_euler.paths import (
     DOMAIN_COUPLED,
     DOMAIN_SINGLE,
@@ -402,6 +402,39 @@ def test_batch_divergence_locates_offending_path():
         assert err.value.step_index == step
 
 
+def cubic_drift_model():
+    """dX = -20 X**3 dt + dW from 0: an Euler path overflows once |X| grows past ~1."""
+    return me.SdeModel(
+        dim_state=1,
+        dim_noise=1,
+        initial=np.array([0.0]),
+        horizon=1.0,
+        drift=lambda x: -20.0 * x**3,
+        diffusion=lambda x: np.ones((x.shape[0], 1, 1)),
+        drift_jacobian=lambda x: (-60.0 * x**2)[:, :, None],
+        diffusion_jacobians=(lambda x: np.zeros((x.shape[0], 1, 1)),),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("chunk", [None, 4000, 1000, 100])
+def test_coupled_divergence_report_does_not_depend_on_chunks(monkeypatch, chunk):
+    # at level 4, m = 2, seed 0, path 121 is the lowest to diverge, on its
+    # coarse leg (step index 7, the last); the lowest on the fine leg is
+    # later (path 2956), so a report that looked at the fine leg first
+    # named that one whenever a chunk held both
+    model = cubic_drift_model()
+    me.coupled_terminals(model, 4, 2, 121, 0)
+    with pytest.raises(EulerDivergedError) as err:
+        me.coupled_terminals(model, 4, 2, 1, 0, first_path=121)
+    assert (err.value.path_index, err.value.step_index) == (121, 7)
+    if chunk is not None:
+        monkeypatch.setattr(paths, "_chunk_size", lambda draws_per_path, held_per_path: chunk)
+    with pytest.raises(EulerDivergedError) as err:
+        me.coupled_terminals(model, 4, 2, 4000, 0, threads=2)
+    assert (err.value.path_index, err.value.step_index) == (121, 7)
+
+
 # -------------------------------------------------- batch simulations
 
 
@@ -566,6 +599,102 @@ def test_euler_chunk_memory_does_not_grow_with_the_steps(coupled):
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+# --------------------------------------------------------- chunk sizes
+
+
+def chunk_budgets():
+    """(draws, held) per path of every chunk reader, over a grid of shapes.
+
+    An Euler chunk holds one step block of its q-wide increments, the limit
+    law one block of W increments and d words of its B stream, and the
+    bracket check its whole m n-step paths.
+    """
+    for n_steps in (1, 2, 7, 63, 64, 65, 130, 512, 1024, 4096, 1 << 16):
+        for q in (1, 2, 3):
+            for m in (1, 2, 3, 5, 9):
+                yield q * n_steps, q * min(n_steps, paths._block_steps(m))
+            for d in (1, 2, 4):
+                yield q * n_steps + d, q * min(n_steps, paths._block_steps()) + d
+        for m in (2, 3, 5, 9):
+            yield m * n_steps, m * n_steps
+
+
+def test_chunk_size_bounds_the_work_and_the_draws_held():
+    for draws, held in chunk_budgets():
+        chunk = paths._chunk_size(draws, held)
+        assert 64 <= chunk <= 1 << 16
+        # within both budgets above the 64-path floor, and the largest such
+        if chunk > 64:
+            assert chunk * draws <= 1 << 22 and chunk * held <= 1 << 19
+        if chunk < 1 << 16:
+            assert (chunk + 1) * draws > 1 << 22 or (chunk + 1) * held > 1 << 19
+
+
+def chunk_spans(tasks):
+    return [task.args for task in tasks]
+
+
+def scheduled_chunks(monkeypatch, module, call):
+    """The (a, b) spans that ``call()`` hands to ``module._run_tasks``, none of them run."""
+    seen = []
+    monkeypatch.setattr(module, "_run_tasks", lambda groups, threads: seen.extend(groups[0]))
+    call()
+    return chunk_spans(seen)
+
+
+def test_chunks_of_the_benchmark_shapes(monkeypatch):
+    gbm = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+
+    def level_chunks(n):
+        plan = me.plan_bak(n, 2, 1.0)
+        return [
+            chunk_spans(paths._level_tasks(gbm, level, 2, size, 0, 0, 0, None))
+            for level, size in enumerate(plan.sample_sizes)
+        ]
+
+    # crude n = 512 keeps 8192-path chunks and level 0 65536-path ones
+    crude = paths._euler_tasks(gbm, (0, DOMAIN_SINGLE, 0, 0), 512, 1, 65536, 0, None)
+    assert {b - a for a, b in chunk_spans(crude)} == {8192}
+    assert level_chunks(512)[0][0] == (0, 65536)
+    # every level at n = 64 is one chunk; at n = 512 levels 4-6 hold 2**15,
+    # 2**14 and 2**13 paths of one 16-, 32- and 64-step block a chunk
+    assert [len(spans) for spans in level_chunks(64)] == [1] * 7
+    at_512 = level_chunks(512)
+    assert [len(spans) for spans in at_512] == [130, 18, 9, 5, 5, 5, 5, 3, 2, 1]
+    assert [at_512[level][0][1] for level in (4, 5, 6)] == [1 << 15, 1 << 14, 1 << 13]
+    # the limit law at 1024 steps keeps 4092-draw chunks
+    spans = scheduled_chunks(monkeypatch, limit_law, lambda: me.limit_draws(gbm, 1024, 20000, 0))
+    assert [b - a for a, b in spans] == [4092] * 4 + [20000 - 4 * 4092]
+    # the bracket check at n = 512, m = 2 holds 512 whole 1024-step paths
+    spans = scheduled_chunks(
+        monkeypatch,
+        diagnostics,
+        lambda: me.bracket_expectation_check(512, 2, 1.0, 1.0, samples=4096, mode="brownian"),
+    )
+    assert spans == [(a, a + 512) for a in range(0, 4096, 512)]
+
+
+@pytest.mark.parametrize("call", ["coupled level 6", "single 64 steps", "bracket n = 512"])
+def test_a_chunk_holds_at_most_four_mib_of_draws(call):
+    # one chunk held 65536 paths of one 64-step block, 32 MiB of increments,
+    # and the bracket check 4096 paths of 1024 steps, 32 MiB of normals and
+    # as much again per temporary; each now holds at most 2**19 draws (4 MiB)
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    bound = {"coupled level 6": 12, "single 64 steps": 8, "bracket n = 512": 32}[call]
+    tracemalloc.start()
+    try:
+        if call == "coupled level 6":
+            me.coupled_terminals(model, 6, 2, 65536, 0)
+        elif call == "single 64 steps":
+            me.single_terminals(model, 64, 65536, 0)
+        else:
+            me.bracket_expectation_check(512, 2, 1.0, 1.0, samples=4096, mode="brownian")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2**20
 
 
 def test_split_noise_weak_mean_is_exact_binomial(split_noise_gbm):
