@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,11 +102,17 @@ class LevelStats:
     ``third_abs_moment`` the mean cubed absolute deviation from the
     level mean.  ``cost`` counts Euler sub-steps over all paths.
 
-    The moments are summed over fixed blocks of 2**16 values, in block
-    order and in two passes: the block sums give the mean, then each
-    block's centred squares and cubed absolute deviations are summed.
-    A level of at most 2**16 values is one block, which is numpy's
-    whole-array summation order.
+    The moments are summed in one pass over fixed blocks of 2**16
+    values, in block order.  The mean is the sum of the blocks'
+    ``np.sum``, in block order, over the count, so its bits depend on
+    neither chunks nor threads.  Each block adds its sums of u = v - K
+    for a centre K fixed by block 0, its own mean.  A level of at most
+    2**16 values is one block, so K is the mean and its moments have the
+    bits of ``np.var(ddof=1)`` and the mean of ``np.power(|v - mean|, 3)``.
+    A longer level's variance and third moment are expanded around K,
+    exact but for rounding (about 1e-15 relative); a level whose mean
+    falls outside block 0's window runs again, centred on its mean, and
+    then has the bits of those formulas summed block by block.
     """
 
     level: int
@@ -303,50 +309,185 @@ def optimal_m_scan(
 # Values per block of a level's reduction.  The blocks do not depend on
 # the chunk size or the thread count, so neither does the summation order.
 _REDUCE_BLOCK = 1 << 16
+# Half-width of a multi-block level's window, in standard errors of the
+# mean of its block 0.  A level mean outside it makes the level run again.
+_WINDOW_SE = 6.0
 
 
-def _level_statistics(values: np.ndarray, level: int, cost_per_path: int) -> LevelStats:
-    """Moments of one level's values, reduced in two passes over fixed blocks.
+class _LevelReducer:
+    """One level's moments from its payoff values, fed in path order.
 
-    Pass 1 adds the block sums, in block order, for the mean.  Pass 2
-    centres each block in a reusable buffer and adds its sum of squares
-    and of cubed absolute values.  A level of one block gets the bits of
-    ``np.mean``, ``np.var(ddof=1)`` and the mean of ``np.power(|v - mean|, 3)``.
+    The values are reduced in blocks of 2**16, in block order; each block
+    adds its ``np.sum`` to the level total, so the mean has the bits of
+    those sums whatever the chunks were.  Block 0 fixes the centre K (its
+    own mean, unless ``centre`` is given) and every block adds its sums
+    of u = v - K.  A level of one block, or one fed with its own mean as
+    ``centre``, sums u**2 and ``np.power(|u|, 3)`` only.
+
+    A level of several blocks with its own centre also sums u, |u|,
+    u |u|, sign(u) and u**2 |u|, and keeps, compressed by ``np.unique``,
+    the values with |u| below the window w (``_WINDOW_SE`` standard errors
+    of block 0's mean).  Outside the window the sign of v - mean is the
+    sign of u whenever |mean - K| < w, so ``finish`` expands the centred
+    moments in delta = mean - K and corrects them with the kept values.
     """
-    count = values.shape[0]
-    starts = range(0, count, _REDUCE_BLOCK)
-    total = 0.0
-    for a in starts:
-        total += np.sum(values[a : a + _REDUCE_BLOCK])
-    mean = total / count
-    centred = np.empty(min(count, _REDUCE_BLOCK))
-    square = np.empty_like(centred)
-    sum_sq = sum_cube = 0.0
-    for a in starts:
-        b = min(a + _REDUCE_BLOCK, count)
-        c = centred[: b - a]
-        np.subtract(values[a:b], mean, out=c)
-        sum_sq += np.sum(np.multiply(c, c, out=square[: b - a]))
-        np.abs(c, out=c)
-        sum_cube += np.sum(np.power(c, 3, out=c))
-    return LevelStats(
-        level=level,
-        count=count,
-        mean=float(mean),
-        variance=float(sum_sq / (count - 1)),
-        third_abs_moment=float(sum_cube / count),
-        cost=count * cost_per_path,
-    )
+
+    def __init__(self, count: int, centre: Optional[float]):
+        self.count = count
+        self.centre = centre
+        self.windowed = centre is None and count > _REDUCE_BLOCK
+        self.fed = 0  # values handed to ``feed``
+        self.reduced = 0  # values already in the sums
+        self.pending = None  # the block being filled, when a chunk ends inside it
+        self.filled = 0
+        size = min(count, _REDUCE_BLOCK)
+        self.u = np.empty(size)
+        self.square = np.empty(size)
+        self.magnitude = np.empty(size) if self.windowed else None
+        self.total = self.sum_sq = self.sum_cube = 0.0
+        self.window = None
+        self.sum_u = self.sum_abs = self.sum_u_abs = 0.0
+        self.sign_sum = 0
+        self.kept = []
+
+    def feed(self, values: np.ndarray) -> None:
+        """Add the next ``values`` of the level, a 1-D float64 array."""
+        a = 0
+        while a < values.shape[0]:
+            size = min(_REDUCE_BLOCK, self.count - self.reduced)
+            if self.filled == 0 and values.shape[0] - a >= size:
+                self._reduce(values[a : a + size])  # a whole block of the chunk
+                a += size
+                continue
+            if self.pending is None:
+                self.pending = np.empty(size)
+            take = min(size - self.filled, values.shape[0] - a)
+            self.pending[self.filled : self.filled + take] = values[a : a + take]
+            self.filled += take
+            a += take
+            if self.filled == size:
+                self._reduce(self.pending[:size])
+                self.filled = 0
+        self.fed += values.shape[0]
+
+    def _reduce(self, v: np.ndarray) -> None:
+        n = v.shape[0]
+        self.total += np.sum(v)
+        if self.centre is None:
+            self.centre = self.total / n
+        u = np.subtract(v, self.centre, out=self.u[:n])
+        square = np.multiply(u, u, out=self.square[:n])
+        self.sum_sq += np.sum(square)
+        if not self.windowed:
+            np.abs(u, out=u)
+            self.sum_cube += np.sum(np.power(u, 3, out=u))
+        else:
+            if self.window is None:
+                self.window = _WINDOW_SE * math.sqrt(self.sum_sq / (n - 1) / n)
+            self.sum_u += np.sum(u)
+            self.sign_sum += np.count_nonzero(u > 0) - np.count_nonzero(u < 0)
+            magnitude = np.abs(u, out=self.magnitude[:n])
+            self.sum_abs += np.sum(magnitude)
+            near = v[magnitude < self.window]
+            if near.size:
+                self.kept.append(np.unique(near, return_counts=True))
+            self.sum_u_abs += np.sum(np.multiply(u, magnitude, out=u))
+            self.sum_cube += np.sum(np.multiply(square, magnitude, out=square))
+        self.reduced += n
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count
+
+    def finish(self, level: int, cost_per_path: int) -> Optional[LevelStats]:
+        """The level's ``LevelStats``, or None if its mean fell outside the window."""
+        count = self.count
+        mean = self.mean
+        delta = mean - self.centre if self.windowed else 0.0
+        sum_sq, sum_cube = self.sum_sq, self.sum_cube
+        if delta != 0.0:
+            if not abs(delta) < self.window:
+                return None
+            sum_sq += delta * (count * delta - 2.0 * self.sum_u)
+            sum_cube += delta * (
+                3.0 * delta * self.sum_abs - 3.0 * self.sum_u_abs - delta * delta * self.sign_sum
+            )
+            # the expansion took sign(u) for the sign of v - mean; mend the
+            # kept values where the two differ
+            for values, counts in self.kept:
+                c = values - mean
+                cube = c * c * c
+                sum_cube += np.dot(counts, np.abs(cube) - np.sign(values - self.centre) * cube)
+        return LevelStats(
+            level=level,
+            count=count,
+            mean=float(mean),
+            variance=float(sum_sq / (count - 1)),
+            third_abs_moment=float(sum_cube / count),
+            cost=count * cost_per_path,
+        )
 
 
-def _write_values(
-    payoff: Payoff, out: np.ndarray, a: int, b: int, fine: np.ndarray, coarse=None
-) -> None:
-    """f(fine) into out[a:b] on level 0, f(fine) - f(coarse) on a coupled level."""
-    if coarse is None:
-        out[a:b] = payoff.value(fine)
-    else:
-        np.subtract(payoff.value(fine), payoff.value(coarse), out=out[a:b])
+def _reduce_levels(
+    model: SdeModel,
+    payoff: Payoff,
+    plan: MlmcPlan,
+    master_seed: int,
+    replication: int,
+    threads: int,
+    centres: Dict[int, Optional[float]],
+) -> Dict[int, LevelStats]:
+    """Simulate and reduce the levels that ``centres`` maps to a centre or None.
+
+    Every chunk of those levels is one group of ``_run_tasks``.  A chunk
+    hands its fresh payoff values over under its level and first path;
+    the calling thread takes each group's values, in group order, and
+    feeds them to its level's ``_LevelReducer``.  Levels run in order, so
+    one reducer is open at a time.  A level whose window missed its mean
+    runs again, centred on that mean: its keys, and so its values, are
+    the same.  Returns each level's ``LevelStats``.
+    """
+    ready = {}
+
+    def hand_over(level, a, b, fine, coarse=None):
+        values = payoff.value(fine)
+        if coarse is not None:
+            values = values - payoff.value(coarse)
+        # contiguous, so that a block's np.sum is the same whichever chunk it came in
+        ready[level, a] = np.ascontiguousarray(values, dtype=np.float64)
+
+    groups, owners = [], []
+    for level in centres:
+        tasks = _level_tasks(
+            model, level, plan.m, plan.sample_sizes[level], master_seed, replication, 0,
+            partial(hand_over, level),
+        )
+        groups += [[task] for task in tasks]
+        owners += [level] * len(tasks)
+    stats, again = {}, {}
+    reducer, awaited = None, 0
+
+    def done(i):
+        nonlocal reducer, awaited
+        level = owners[i]
+        if reducer is None:
+            reducer = _LevelReducer(plan.sample_sizes[level], centres[level])
+        reducer.feed(ready.pop((level, reducer.fed)))
+        if reducer.fed == reducer.count:
+            stats[level] = reducer.finish(level, _path_cost(plan.m, level))
+            if stats[level] is None:
+                again[level] = reducer.mean
+            reducer = None
+        awaited = i + 1
+
+    try:
+        _run_tasks(groups, threads, done)
+    except EulerDivergedError as exc:
+        # groups are awaited in order, so the failing one is the next to reduce
+        raise EulerDivergedError(exc.step_index, exc.path_index, level=owners[awaited]) from None
+    if again:
+        stats.update(_reduce_levels(model, payoff, plan, master_seed, replication, threads, again))
+    return stats
 
 
 def estimate(
@@ -368,13 +509,14 @@ def estimate(
     keys are set in ``paths._level_tasks``, which builds each level's
     chunks.  A bad ``confidence`` or ``ci_method`` is rejected before any
     path is drawn.  The chunks of all L + 1 levels run on one pool of
-    ``threads`` workers, and each chunk writes its paths' payoff values,
-    f(x) on level 0 and f(fine) - f(coarse) above, into its slice of one
-    array per level; no terminal states are kept.  Each level is reduced
-    on the calling thread, in level order, as soon as its chunks are
-    done: in blocks of 2**16 values, one pass for the mean and one for
-    the centred moments (see ``LevelStats``).  Setting ``bias_pilot`` to
-    0 skips the pilot and reports bias_proxy = None.
+    ``threads`` workers.  Each chunk hands over its paths' payoff values,
+    f(x) on level 0 and f(fine) - f(coarse) above, and the calling
+    thread feeds them, in chunk order, into the level's blocks of 2**16
+    values, reducing each block as soon as it is full (see
+    ``LevelStats``); no terminal states and no level-sized array are
+    kept.  A level whose mean misses block 0's window, which happens with
+    probability about 2e-9, is simulated a second time.  Setting
+    ``bias_pilot`` to 0 skips the pilot and reports bias_proxy = None.
     """
     if not math.isclose(plan.horizon, model.horizon, rel_tol=1e-12):
         raise ValueError("plan horizon does not match the model horizon")
@@ -383,25 +525,11 @@ def estimate(
     from .diagnostics import confidence_interval  # deferred: diagnostics imports this module
 
     confidence_interval(0.0, 0.0, confidence, ci_method)  # bad ones fail before any path
-    values = [np.empty(size) for size in plan.sample_sizes]
-    tasks = [
-        _level_tasks(
-            model, lvl, plan.m, size, master_seed, replication, 0,
-            partial(_write_values, payoff, values[lvl]),
-        )
-        for lvl, size in enumerate(plan.sample_sizes)
-    ]
-    stats = []
-
-    def reduce(lvl):
-        stats.append(_level_statistics(values[lvl], lvl, _path_cost(plan.m, lvl)))
-        values[lvl] = None
-
-    try:
-        _run_tasks(tasks, threads, reduce)
-    except EulerDivergedError as exc:
-        # levels are awaited in order, so the failing one is the next to reduce
-        raise EulerDivergedError(exc.step_index, exc.path_index, level=len(stats)) from None
+    found = _reduce_levels(
+        model, payoff, plan, master_seed, replication, threads,
+        dict.fromkeys(range(plan.levels + 1)),
+    )
+    stats = [found[level] for level in range(plan.levels + 1)]
 
     point = float(sum(s.mean for s in stats))
     se = math.sqrt(sum(s.variance / s.count for s in stats))

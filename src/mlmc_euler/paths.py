@@ -48,15 +48,16 @@ level of the multilevel telescope to its key, step count and legs.
 ``_run_tasks`` is the package's one scheduler: it runs all the tasks of
 a call on one thread pool, submitted in (group, chunk) order, and hands
 each group back to the calling thread, in group order, as soon as its
-chunks are done.  A chunk hands its terminals to a consumer that writes
-them, or values computed from them, into its own slice of a
-preallocated output, so the result is bit-identical for any thread
-count.  ``single_terminals`` and ``coupled_terminals`` keep the
-terminals.  ``estimate`` keeps only each level's payoff values, uses one
-group per level, and reduces each level on the calling thread while the
-pool simulates the next ones: in fixed blocks of 2**16 values, one pass
-for the mean and one for the centred moments, so the reduction order
-depends on neither the chunk size nor the thread count.
+chunks are done.  A chunk hands its terminals to a consumer, which
+writes them, or values computed from them, into its own slice of a
+preallocated output, or files them under the chunk's first path for the
+calling thread, so the result is bit-identical for any thread count.
+``single_terminals`` and ``coupled_terminals`` keep the terminals.
+``estimate`` keeps no terminals and no level-sized array: it uses one
+group per chunk, and the calling thread feeds each chunk's payoff values,
+in chunk order, into its level's fixed blocks of 2**16 values while the
+pool simulates the next chunks, so the reduction order depends on
+neither the chunk size nor the thread count.
 """
 
 from __future__ import annotations

@@ -281,15 +281,20 @@ def whole_array_level_stats(values, level, cost_per_path):
     )
 
 
-def rebuilt_level_stats(model, payoff, plan, seed, replication, level):
-    """A level's whole-array moments, from terminals drawn with the estimator's keys."""
+def rebuilt_level_values(model, payoff, plan, seed, replication, level):
+    """A level's payoff values, from terminals drawn with the estimator's keys."""
     size = plan.sample_sizes[level]
     if level == 0:
-        terminals = me.single_terminals(model, 1, size, seed, slot=0, replication=replication)
-        return whole_array_level_stats(payoff.value(terminals), 0, 1)
+        return payoff.value(me.single_terminals(model, 1, size, seed, replication=replication))
     fine, coarse = me.coupled_terminals(model, level, plan.m, size, seed, replication=replication)
-    values = payoff.value(fine) - payoff.value(coarse)
-    return whole_array_level_stats(values, level, plan.m**level + plan.m ** (level - 1))
+    return payoff.value(fine) - payoff.value(coarse)
+
+
+def rebuilt_level_stats(model, payoff, plan, seed, replication, level):
+    """A level's whole-array moments, from terminals drawn with the estimator's keys."""
+    values = rebuilt_level_values(model, payoff, plan, seed, replication, level)
+    cost = 1 if level == 0 else plan.m**level + plan.m ** (level - 1)
+    return whole_array_level_stats(values, level, cost)
 
 
 def test_single_block_levels_keep_whole_array_bits():
@@ -337,3 +342,112 @@ def test_estimate_peak_memory_is_one_value_per_path():
     finally:
         tracemalloc.stop()
     assert peak < budget
+
+
+def test_estimate_peak_memory_does_not_scale_with_the_levels():
+    # the values stream through fixed blocks: no level-sized array, so the
+    # peak is chunk buffers and the window's few kept values, a small
+    # fraction of one value per path
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    plan = me.plan_bak(512, 2, 1.0)
+    budget = 0.25 * 8 * sum(plan.sample_sizes)
+    tracemalloc.start()
+    try:
+        me.estimate(model, me.identity_payoff(), plan, 0, threads=1, bias_pilot=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
+
+
+def block_ordered_mean(values):
+    """The level mean as the reducer sums it: ``np.sum`` of each 2**16 block, in order."""
+    total = 0.0
+    for a in range(0, values.shape[0], 1 << 16):
+        total += np.sum(values[a : a + (1 << 16)])
+    return total / values.shape[0]
+
+
+def test_level_means_are_block_ordered_sums_bit_for_bit():
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    payoff = me.identity_payoff()
+    plan = me.plan_bak(256, 2, 1.0)
+    report = me.estimate(model, payoff, plan, 5, replication=3, threads=2, bias_pilot=0)
+    for level, stat in enumerate(report.level_stats):
+        values = rebuilt_level_values(model, payoff, plan, 5, 3, level)
+        assert stat.mean == block_ordered_mean(values)
+
+
+def test_zero_volatility_multi_block_levels_give_finite_dust():
+    # every path of a level has the same value, so block 0's window is
+    # (about) zero wide and the moments are rounding dust
+    model = me.make_gbm(1.0, 0.05, 0.0, 1.0)
+    plan = me.plan_bak(256, 2, 1.0)
+    assert plan.sample_sizes[1] > 1 << 16
+    report = me.estimate(model, me.identity_payoff(), plan, 0, bias_pilot=0)
+    for stat in report.level_stats:
+        assert math.isfinite(stat.variance) and math.isfinite(stat.third_abs_moment)
+        assert 0.0 <= stat.variance <= 1e-30
+        assert 0.0 <= stat.third_abs_moment <= 1e-30
+    assert report.estimate == pytest.approx((1.0 + 0.05 / 256) ** 256, rel=1e-13)
+
+
+def test_closed_window_reruns_multi_block_levels(monkeypatch):
+    # a window of zero width misses every multi-block level's mean, so each
+    # of them is simulated again, centred on that mean
+    model = me.make_gbm(1.0, 0.05, 0.2, 1.0)
+    payoff = me.identity_payoff()
+    plan = me.plan_bak(256, 2, 1.0)
+    multi = [level for level, size in enumerate(plan.sample_sizes) if size > 1 << 16]
+    assert multi == [0, 1, 2]
+    built = []
+    level_tasks = me.estimator._level_tasks
+
+    def counted(model, level, *args):
+        built.append(level)
+        return level_tasks(model, level, *args)
+
+    monkeypatch.setattr(me.estimator, "_WINDOW_SE", 0.0)
+    monkeypatch.setattr(me.estimator, "_level_tasks", counted)
+    texts = []
+    for threads in (1, 2, 8):
+        built.clear()
+        report = me.estimate(model, payoff, plan, 0, replication=1, threads=threads, bias_pilot=0)
+        texts.append(json.dumps(report.to_json_dict()))
+        assert sorted(built) == sorted(list(range(plan.levels + 1)) + multi)
+    assert texts[0] == texts[1] == texts[2]
+    for level, stat in enumerate(report.level_stats):
+        ref = rebuilt_level_stats(model, payoff, plan, 0, 1, level)
+        assert stat.count == ref.count and stat.cost == ref.cost
+        for name in ("mean", "variance", "third_abs_moment"):
+            assert getattr(stat, name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=0)
+
+
+def reduced(values, cuts):
+    """Feed ``values`` to a fresh level reducer in pieces cut at ``cuts``."""
+    reducer = me.estimator._LevelReducer(values.shape[0], None)
+    for a, b in zip([0] + cuts, cuts + [values.shape[0]]):
+        reducer.feed(values[a:b])
+    return reducer
+
+
+def test_level_reducer_keeps_its_bits_for_any_feed_and_compresses_atoms():
+    # a call-like coupled level: 40% of the values are exactly 0, inside
+    # the window around block 0's mean
+    rng = np.random.default_rng(11)
+    count = 5 * (1 << 16) + 123
+    values = rng.normal(1e-3, 0.1, count)
+    values[rng.random(count) < 0.4] = 0.0
+    feeds = [[], list(range(8192, count, 8192)), sorted(rng.choice(count, 40, replace=False).tolist())]
+    reducers = [reduced(values, cuts) for cuts in feeds]
+    stats = [r.finish(1, 3) for r in reducers]
+    assert stats[0] is not None and stats[0] == stats[1] == stats[2]
+    # the window was used, and the atom is stored once per block, not per value
+    assert reducers[0].centre != stats[0].mean
+    kept = sum(vals.size for vals, _ in reducers[0].kept)
+    held = sum(int(counts.sum()) for _, counts in reducers[0].kept)
+    assert held > 0.4 * count and kept < 0.01 * count
+    ref = whole_array_level_stats(values, 1, 3)
+    assert stats[0].mean == block_ordered_mean(values)
+    for name in ("variance", "third_abs_moment"):
+        assert getattr(stats[0], name) == pytest.approx(getattr(ref, name), rel=1e-12, abs=0)
